@@ -7,18 +7,13 @@
 //	ir-bench -figure 5       detector overhead vs AddressSanitizer (§5.4.2)
 //	ir-bench -detection      bug-corpus effectiveness (§5.4.1)
 //	ir-bench -all            everything
-//	ir-bench -json BENCH_2.json   machine-readable perf suite (record /
-//	                              replay-batch / analyze-batch / segment-replay
-//	                              / serve-analyze throughput)
 //
 // -scale shrinks/grows the workloads, -rounds controls timing repetitions,
-// and -runs sizes the Crasher experiment. -json writes ns/op, events/sec,
-// and worker counts to the named file so the perf trajectory is tracked
-// PR-over-PR.
+// and -runs sizes the Crasher experiment. Performance is measured by the
+// repo's benchmark, `go run ./benchmarks/irbench`, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +30,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload iteration scale factor")
 	rounds := flag.Int("rounds", 3, "timing repetitions per cell (median)")
 	runs := flag.Int("runs", 200, "Crasher executions for table 2")
-	jsonOut := flag.String("json", "", "write the machine-readable perf suite to this file (e.g. BENCH_2.json)")
 	flag.Parse()
 
 	if *all {
@@ -109,24 +103,7 @@ func main() {
 			return nil
 		})
 	}
-	if *jsonOut != "" {
-		run("perf", func() error {
-			rep, err := bench.Perf(*scale)
-			if err != nil {
-				return err
-			}
-			b, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(b, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("perf suite: %d results -> %s\n", len(rep.Results), *jsonOut)
-			return nil
-		})
-	}
-	if !*all && *table == 0 && *figure == 0 && !*detection && *jsonOut == "" {
+	if !*all && *table == 0 && *figure == 0 && !*detection {
 		flag.Usage()
 		os.Exit(2)
 	}

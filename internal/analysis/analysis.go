@@ -120,33 +120,18 @@ func (f Finding) String() string {
 // executions is the prime use case, not an error.
 func Run(mod *tir.Module, epochs []*record.EpochLog, opts core.Options,
 	setup func(*core.Runtime) error, analyzers ...Analyzer) (*core.Report, []Finding, error) {
+	// Copy before attaching: the caller's Observers slice may share its
+	// backing array with concurrent jobs (trace.Fanout clones do), and an
+	// append into spare capacity would hand one job another job's analyzer.
+	observers := append([]core.Observer(nil), opts.Observers...)
 	for _, a := range analyzers {
-		opts.Observers = append(opts.Observers, a)
+		observers = append(observers, a)
 	}
+	opts.Observers = observers
 	rt, err := core.PrepareReplay(mod, epochs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return runPrepared(rt, setup, analyzers)
-}
-
-// RunFlat is Run over a pre-flattened epoch range (record.Flattener): the
-// streaming entry point for analyze workers that decode epochs in bounded
-// windows instead of pinning the whole trace's frames at once.
-func RunFlat(mod *tir.Module, fl *record.Flat, opts core.Options,
-	setup func(*core.Runtime) error, analyzers ...Analyzer) (*core.Report, []Finding, error) {
-	for _, a := range analyzers {
-		opts.Observers = append(opts.Observers, a)
-	}
-	rt, err := core.PrepareReplayFlat(mod, fl, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runPrepared(rt, setup, analyzers)
-}
-
-func runPrepared(rt *core.Runtime, setup func(*core.Runtime) error,
-	analyzers []Analyzer) (*core.Report, []Finding, error) {
 	if setup != nil {
 		if err := setup(rt); err != nil {
 			rt.Shutdown()

@@ -123,10 +123,16 @@ func TestLeakCorpusGroundTruth(t *testing.T) {
 			mod := c.Build()
 			epochs, _ := recordEpochs(t, mod, core.Options{Seed: 5}, nil)
 
+			// The caller's Observers slice has spare capacity: Run must attach
+			// the analyzer to a copy, not append into the shared backing array.
+			observers := make([]core.Observer, 0, 4)
 			leak := NewLeakDetector()
-			_, findings, err := Run(mod, epochs, core.Options{}, nil, leak)
+			_, findings, err := Run(mod, epochs, core.Options{Observers: observers}, nil, leak)
 			if err != nil {
 				t.Fatalf("analysis replay: %v", err)
+			}
+			if observers[:1][0] != nil {
+				t.Fatal("Run appended into the caller's Observers backing array")
 			}
 			if len(findings) != c.Leaks {
 				t.Fatalf("want %d leak(s), got %d: %v", c.Leaks, len(findings), findings)

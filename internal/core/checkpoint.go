@@ -24,7 +24,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/heap"
 	"repro/internal/interp"
@@ -153,81 +152,36 @@ func (rt *Runtime) checkpointDue() bool {
 
 // PrepareReplayAt builds a runtime primed to re-execute epochs start.Epoch..j
 // of a trace from the persisted checkpoint start, instead of from program
-// start. A nil start falls back to PrepareReplay (the trace's first segment).
-// end, when non-nil, is the next checkpoint: every thread is armed to stop at
-// its recorded instruction position, and RunReplay verifies the segment's end
-// memory image byte-matches end before reporting success. Divergence retries
-// roll back to start, not to program start — the paper's one-epoch replay
-// bound, recovered offline.
-//
-// Options are interpreted as for PrepareReplay; Mem geometry, the allocator
-// selection, EventCap/VarCap and Seed must match the recording run.
+// start: PrepareReplayFlatAt over a decoded epoch slice. A nil start replays
+// from program start (the trace's first segment); end, when non-nil, is the
+// next checkpoint the segment must land on.
 func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochLog, end *Checkpoint, opts Options) (*Runtime, error) {
-	if start == nil {
-		var preVars []VarState
-		if end != nil {
-			// Seed the shadow table from the segment's end checkpoint so the
-			// replay assigns the recording's shadow IDs — the end memory image
-			// embeds them in the variables' index words.
-			preVars = end.Vars
-		}
-		rt, err := prepareReplay(mod, epochs, opts, preVars)
-		if err != nil {
-			return nil, err
-		}
-		if err := rt.armSegmentEnd(end); err != nil {
-			rt.shutdown()
-			return nil, err
-		}
-		return rt, nil
-	}
-	if len(epochs) == 0 {
-		return nil, errors.New("core: segment replay of an empty epoch range")
-	}
-	if epochs[0].Epoch != start.Epoch {
-		return nil, fmt.Errorf("core: segment epochs begin at %d, checkpoint at %d",
-			epochs[0].Epoch, start.Epoch)
-	}
-	if end != nil && end.Epoch != epochs[len(epochs)-1].Epoch+1 {
-		return nil, fmt.Errorf("core: segment ends at epoch %d but next checkpoint begins %d",
-			epochs[len(epochs)-1].Epoch, end.Epoch)
-	}
-
-	opts.TraceSink = nil
-	opts.OnEpochEnd = nil
-	opts.OnReplayMatched = nil
-	opts.CheckpointSink = nil
-	opts.FlightRecorder = nil
-	opts.DisableRecording = false
-	rt, err := New(mod, opts)
+	fl, err := flattenEpochs(epochs)
 	if err != nil {
 		return nil, err
 	}
-	rt.offline = true
-	rt.stopReason = StopReason(epochs[len(epochs)-1].Reason)
+	return PrepareReplayFlatAt(mod, start, fl, end, opts)
+}
+
+// primeAtCheckpoint rebuilds the world mid-trace from the persisted
+// checkpoint start: the restored in-situ checkpoint (which rollbackAndReplay
+// both seeds the segment from initially and re-seeds it from on divergence
+// retries), the thread cast, the shadow table and the virtual filesystem.
+func (rt *Runtime) primeAtCheckpoint(start *Checkpoint, fl *record.Flat, end *Checkpoint) error {
 	rt.epochSeq = start.Epoch
-	rt.stats.Epochs = int64(len(epochs))
-	rt.epochStart = time.Now() //ir:wallclock epoch timeline telemetry
 
 	// Geometry and allocator selection must match the checkpoint or restores
 	// would silently corrupt state.
 	cfg := rt.mem.Config()
 	g, h, s := start.Snap.Lens()
 	if int64(g) != cfg.GlobalSize || int64(h) != cfg.HeapSize || int64(s) != cfg.StackSlot*int64(cfg.MaxThreads) {
-		return nil, fmt.Errorf("core: checkpoint memory geometry %d/%d/%d does not match options %d/%d/%d",
+		return fmt.Errorf("core: checkpoint memory geometry %d/%d/%d does not match options %d/%d/%d",
 			g, h, s, cfg.GlobalSize, cfg.HeapSize, cfg.StackSlot*int64(cfg.MaxThreads))
 	}
 	if heap.SnapshotKindDeterministic(start.Alloc) == rt.opts.UseLibCAllocator {
-		return nil, errors.New("core: checkpoint allocator snapshot does not match the configured allocator")
+		return errors.New("core: checkpoint allocator snapshot does not match the configured allocator")
 	}
 
-	threads, vars, err := record.FlattenEpochsAt(epochs)
-	if err != nil {
-		return nil, err
-	}
-
-	// The restored in-situ checkpoint: rollbackAndReplay both seeds the
-	// segment initially and re-seeds it on divergence retries.
 	ck := &checkpoint{
 		epoch:     start.Epoch,
 		snap:      start.Snap,
@@ -247,19 +201,15 @@ func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochL
 	for i := range start.Threads {
 		ts := &start.Threads[i]
 		if ts.TID < 0 || ts.TID >= start.NextTID {
-			return nil, fmt.Errorf("core: checkpoint thread %d outside TID watermark %d", ts.TID, start.NextTID)
+			return fmt.Errorf("core: checkpoint thread %d outside TID watermark %d", ts.TID, start.NextTID)
 		}
 		if !ts.Exited && ts.Ctx == nil {
-			return nil, fmt.Errorf("core: checkpoint thread %d is live but has no context", ts.TID)
+			return fmt.Errorf("core: checkpoint thread %d is live but has no context", ts.TID)
 		}
 		byTID[ts.TID] = ts
 	}
 	if byTID[0] == nil {
-		return nil, errors.New("core: checkpoint lacks the main thread")
-	}
-	fail := func(err error) (*Runtime, error) {
-		rt.shutdown()
-		return nil, err
+		return errors.New("core: checkpoint lacks the main thread")
 	}
 	live := false
 	for id := int32(0); id < start.NextTID; id++ {
@@ -269,22 +219,22 @@ func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochL
 			// sequence (and stack-slot assignment) aligned.
 			t, err := rt.newThread(0, 0, false)
 			if err != nil {
-				return fail(err)
+				return err
 			}
 			t.state.Store(tsDead)
 			close(t.startCh)
 			close(t.doneCh)
 			continue
 		}
-		if ts.EntryFn < 0 || int(ts.EntryFn) >= len(mod.Funcs) {
-			return fail(fmt.Errorf("core: checkpoint thread %d has invalid entry function %d", id, ts.EntryFn))
+		if ts.EntryFn < 0 || int(ts.EntryFn) >= len(rt.mod.Funcs) {
+			return fmt.Errorf("core: checkpoint thread %d has invalid entry function %d", id, ts.EntryFn)
 		}
 		t, err := rt.newThread(int(ts.EntryFn), 0, id != 0)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if t.id != id {
-			return fail(fmt.Errorf("core: checkpoint thread %d materialized as %d", id, t.id))
+			return fmt.Errorf("core: checkpoint thread %d materialized as %d", id, t.id)
 		}
 		t.exitVal = ts.ExitVal
 		t.bornEpoch = 0 // born before the segment
@@ -300,31 +250,31 @@ func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochL
 		go t.trampoline()
 	}
 	if !live {
-		return fail(errors.New("core: checkpoint has no live thread to resume"))
+		return errors.New("core: checkpoint has no live thread to resume")
 	}
 	// Threads born during the segment start as embryos; their replayed
 	// creation events release them (§3.5.1).
-	for _, tl := range threads {
+	for _, tl := range fl.Threads {
 		if tl.TID < start.NextTID {
 			ts := byTID[tl.TID]
 			if ts == nil {
-				return fail(fmt.Errorf("core: segment epochs log thread %d, reclaimed before the checkpoint", tl.TID))
+				return fmt.Errorf("core: segment epochs log thread %d, reclaimed before the checkpoint", tl.TID)
 			}
 			if ts.EntryFn != tl.EntryFn {
-				return fail(fmt.Errorf("core: thread %d entry function mismatch between checkpoint and epochs (%d vs %d)",
-					tl.TID, ts.EntryFn, tl.EntryFn))
+				return fmt.Errorf("core: thread %d entry function mismatch between checkpoint and epochs (%d vs %d)",
+					tl.TID, ts.EntryFn, tl.EntryFn)
 			}
 			continue
 		}
-		if tl.EntryFn < 0 || int(tl.EntryFn) >= len(mod.Funcs) {
-			return fail(fmt.Errorf("core: trace thread %d has invalid entry function %d", tl.TID, tl.EntryFn))
+		if tl.EntryFn < 0 || int(tl.EntryFn) >= len(rt.mod.Funcs) {
+			return fmt.Errorf("core: trace thread %d has invalid entry function %d", tl.TID, tl.EntryFn)
 		}
 		t, err := rt.newThread(int(tl.EntryFn), 0, true)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if t.id != tl.TID {
-			return fail(fmt.Errorf("core: trace thread %d materialized as %d", tl.TID, t.id))
+			return fmt.Errorf("core: trace thread %d materialized as %d", tl.TID, t.id)
 		}
 		go t.trampoline()
 	}
@@ -338,18 +288,18 @@ func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochL
 	seed := start.Vars
 	if end != nil {
 		if len(end.Vars) < len(start.Vars) {
-			return fail(errors.New("core: end checkpoint shadow table shorter than the start's"))
+			return errors.New("core: end checkpoint shadow table shorter than the start's")
 		}
 		for i := range start.Vars {
 			if end.Vars[i].Addr != start.Vars[i].Addr {
-				return fail(fmt.Errorf("core: shadow table mismatch between checkpoints at id %d (%#x vs %#x)",
-					i, start.Vars[i].Addr, end.Vars[i].Addr))
+				return fmt.Errorf("core: shadow table mismatch between checkpoints at id %d (%#x vs %#x)",
+					i, start.Vars[i].Addr, end.Vars[i].Addr)
 			}
 		}
 		seed = end.Vars
 	}
 	if err := rt.seedShadows(seed); err != nil {
-		return fail(err)
+		return err
 	}
 	for i := range start.Vars {
 		vs := &start.Vars[i]
@@ -358,34 +308,16 @@ func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochL
 			parties: vs.Parties, arrived: vs.Arrived, gen: vs.Gen,
 		}
 	}
-	for _, vl := range vars {
-		sv := rt.replayVarFor(vl.Addr)
-		sv.mu.Lock()
-		sv.order = record.LoadVarList(vl.Order)
-		sv.mu.Unlock()
-	}
-
-	// Load the per-thread lists (threads without events this segment keep
-	// their empty, trivially-replayed lists).
-	rt.mu.Lock()
-	for _, tl := range threads {
-		rt.threads[tl.TID].list = record.LoadThreadList(tl.Events)
-	}
-	rt.mu.Unlock()
 
 	// The virtual filesystem resumes at the boundary's contents and open
 	// descriptors; divergence retries restore positions only, as in-situ
 	// rollback does (replayed writes reproduce contents).
 	if err := rt.os.RestoreState(start.FS); err != nil {
-		return fail(err)
+		return err
 	}
-
 	rt.ckpt = ck
 	rt.segStart = start
-	if err := rt.armSegmentEnd(end); err != nil {
-		return fail(err)
-	}
-	return rt, nil
+	return nil
 }
 
 // armSegmentEnd pins every thread that is still live at the segment's end

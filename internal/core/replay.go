@@ -8,7 +8,7 @@ package core
 // exactly the paper's per-thread and per-variable lists (§3.2), plus enough
 // thread metadata to rebuild the cast. That is sufficient because the lists
 // of *all* epochs, concatenated with per-variable positions rebased
-// (record.FlattenEpochs), fully determine a re-execution from program start:
+// (record.Flattener), fully determine a re-execution from program start:
 //
 //   - program order fixes each thread's sequence, the concatenated variable
 //     lists fix every cross-thread interleaving, recordable syscall results
@@ -49,7 +49,7 @@ import (
 // the caveat that epoch observers never fire offline (there are no epoch
 // boundaries to re-enact).
 func PrepareReplay(mod *tir.Module, epochs []*record.EpochLog, opts Options) (*Runtime, error) {
-	return prepareReplay(mod, epochs, opts, nil)
+	return PrepareReplayAt(mod, nil, epochs, nil, opts)
 }
 
 // PrepareReplayFlat is PrepareReplay for an already flattened trace: callers
@@ -58,55 +58,41 @@ func PrepareReplay(mod *tir.Module, epochs []*record.EpochLog, opts Options) (*R
 // decoded epoch for the runtime's construction. Semantics are identical to
 // PrepareReplay over the same epoch range.
 func PrepareReplayFlat(mod *tir.Module, fl *record.Flat, opts Options) (*Runtime, error) {
-	return prepareReplayFlat(mod, fl, opts, nil)
+	return PrepareReplayFlatAt(mod, nil, fl, nil, opts)
 }
 
-// prepareReplay is PrepareReplay with an optional shadow-table seed: preVars,
-// when non-nil, is a checkpoint's creation-ordered shadow table, pre-created
-// so the replay assigns exactly the recording's shadow IDs. The IDs matter
-// because they are cached inside VM memory (the index word of each
-// synchronization variable): a segment whose end image is byte-compared
-// against a checkpoint must write the same index values the recording wrote.
-// Pre-creating from the per-variable order lists alone is not enough —
-// variables first touched by barrier_init or cond_signal never enter an
-// order list, yet consume a shadow ID at creation.
-func prepareReplay(mod *tir.Module, epochs []*record.EpochLog, opts Options, preVars []VarState) (*Runtime, error) {
-	if len(epochs) == 0 {
-		return nil, errors.New("core: replay of an empty trace")
+// flattenEpochs folds a decoded epoch slice into the flattened form the one
+// constructor takes.
+func flattenEpochs(epochs []*record.EpochLog) (*record.Flat, error) {
+	f := record.NewFlattener()
+	for _, ep := range epochs {
+		f.Add(ep)
 	}
-	threads, vars, err := record.FlattenEpochs(epochs)
-	if err != nil {
-		return nil, err
-	}
-	fl := &record.Flat{
-		Threads: threads,
-		Vars:    vars,
-		Epochs:  int64(len(epochs)),
-		Reason:  epochs[len(epochs)-1].Reason,
-	}
-	return prepareReplayFlat(mod, fl, opts, preVars)
+	return f.Flat()
 }
 
-func prepareReplayFlat(mod *tir.Module, fl *record.Flat, opts Options, preVars []VarState) (*Runtime, error) {
+// PrepareReplayFlatAt is the one offline-replay constructor; PrepareReplay,
+// PrepareReplayFlat and PrepareReplayAt are wrappers over it. It builds a
+// runtime primed to re-execute the flattened epoch range fl — from program
+// start when start is nil, otherwise resuming mid-trace from the persisted
+// checkpoint start, whose epoch fl must begin at. end, when non-nil, is the
+// checkpoint that closes the range: every thread is armed to stop at its
+// recorded instruction position, and RunReplay verifies the end memory
+// image byte-matches end before reporting success. Divergence retries roll
+// back to the range's start (program start or the checkpoint) — the paper's
+// one-epoch replay bound, recovered offline.
+//
+// Options are interpreted as for PrepareReplay; Mem geometry, the allocator
+// selection, EventCap/VarCap and Seed must match the recording run.
+func PrepareReplayFlatAt(mod *tir.Module, start *Checkpoint, fl *record.Flat, end *Checkpoint, opts Options) (*Runtime, error) {
 	if fl == nil || fl.Epochs == 0 {
 		return nil, errors.New("core: replay of an empty trace")
 	}
-	threads, vars := fl.Threads, fl.Vars
-	if len(threads) == 0 || len(threads[0].Events) == 0 {
-		return nil, errors.New("core: trace has no main-thread events")
+	if start != nil && fl.First != start.Epoch {
+		return nil, fmt.Errorf("core: segment epochs begin at %d, checkpoint at %d", fl.First, start.Epoch)
 	}
-	for i, tl := range threads {
-		// Whole-trace replay needs dense TIDs (the per-thread list load below
-		// indexes the runtime's thread table by slot). FlattenEpochs enforces
-		// this on the epoch-slice path; the streamed path is checked here.
-		if tl.TID != int32(i) {
-			return nil, fmt.Errorf("core: non-dense thread IDs in flattened trace (slot %d holds tid %d)",
-				i, tl.TID)
-		}
-		if tl.TID != 0 && (tl.EntryFn < 0 || int(tl.EntryFn) >= len(mod.Funcs)) {
-			return nil, fmt.Errorf("core: trace thread %d has invalid entry function %d",
-				tl.TID, tl.EntryFn)
-		}
+	if last := fl.First + fl.Epochs - 1; start != nil && end != nil && end.Epoch != last+1 {
+		return nil, fmt.Errorf("core: segment ends at epoch %d but next checkpoint begins %d", last, end.Epoch)
 	}
 	opts.TraceSink = nil
 	opts.OnEpochEnd = nil
@@ -119,29 +105,86 @@ func prepareReplayFlat(mod *tir.Module, fl *record.Flat, opts Options, preVars [
 		return nil, err
 	}
 	rt.offline = true
-
 	// The final epoch's stop reason matters for one check: a trace that ended
 	// in a fault must see the same fault again — onTrap treats a trap after a
 	// fully consumed list as the matching outcome only under StopFault.
 	rt.stopReason = StopReason(fl.Reason)
-
-	// Main thread and the program-start checkpoint, exactly as Run does. Its
-	// trampoline starts parked on the start channel; RunReplay releases it.
-	main, err := rt.newThread(rt.mod.Entry, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	main.cpu.Start(rt.mod.Entry, nil)
-	rt.epochSeq = 1
 	rt.stats.Epochs = fl.Epochs
 	rt.epochStart = time.Now() //ir:wallclock epoch timeline telemetry
-	rt.takeCheckpoint()
-	go main.trampoline()
-	// Once any trampoline is live, error paths must reap it.
-	fail := func(err error) (*Runtime, error) {
+
+	if start == nil {
+		err = rt.primeAtStart(fl, end)
+	} else {
+		err = rt.primeAtCheckpoint(start, fl, end)
+	}
+	if err == nil {
+		rt.loadLists(fl)
+		err = rt.armSegmentEnd(end)
+	}
+	if err != nil {
+		// Once any trampoline is live, error paths must reap it.
 		rt.shutdown()
 		return nil, err
 	}
+	return rt, nil
+}
+
+// loadLists installs the flattened per-thread and per-variable lists. Every
+// logged thread exists by now (threads without events in the range keep
+// their empty, trivially-replayed lists) and the shadow table is seeded, so
+// the recorded orders are in place before first use.
+func (rt *Runtime) loadLists(fl *record.Flat) {
+	rt.mu.Lock()
+	for _, tl := range fl.Threads {
+		rt.threads[tl.TID].list = record.LoadThreadList(tl.Events)
+	}
+	rt.mu.Unlock()
+	for _, vl := range fl.Vars {
+		s := rt.replayVarFor(vl.Addr)
+		s.mu.Lock()
+		s.order = record.LoadVarList(vl.Order)
+		s.mu.Unlock()
+	}
+}
+
+// primeAtStart builds the program-start cast: the main thread and the
+// program-start checkpoint exactly as Run does, then every other recorded
+// thread as an embryo. The shadow table is seeded from end's
+// creation-ordered table when there is one, so the replay assigns exactly
+// the recording's shadow IDs. The IDs matter because they are cached inside
+// VM memory (the index word of each synchronization variable): a segment
+// whose end image is byte-compared against a checkpoint must write the same
+// index values the recording wrote. Pre-creating from the per-variable
+// order lists alone is not enough — variables first touched by barrier_init
+// or cond_signal never enter an order list, yet consume a shadow ID at
+// creation.
+func (rt *Runtime) primeAtStart(fl *record.Flat, end *Checkpoint) error {
+	threads := fl.Threads
+	if len(threads) == 0 || len(threads[0].Events) == 0 {
+		return errors.New("core: trace has no main-thread events")
+	}
+	for i, tl := range threads {
+		// Replay from program start needs dense TIDs: each recorded thread is
+		// pre-created in slot order below.
+		if tl.TID != int32(i) {
+			return fmt.Errorf("core: non-dense thread IDs in flattened trace (slot %d holds tid %d)",
+				i, tl.TID)
+		}
+		if tl.TID != 0 && (tl.EntryFn < 0 || int(tl.EntryFn) >= len(rt.mod.Funcs)) {
+			return fmt.Errorf("core: trace thread %d has invalid entry function %d",
+				tl.TID, tl.EntryFn)
+		}
+	}
+	// Main thread and the program-start checkpoint. Its trampoline starts
+	// parked on the start channel; RunReplay releases it.
+	main, err := rt.newThread(rt.mod.Entry, 0, false)
+	if err != nil {
+		return err
+	}
+	main.cpu.Start(rt.mod.Entry, nil)
+	rt.epochSeq = 1
+	rt.takeCheckpoint()
+	go main.trampoline()
 
 	// Pre-create every other recorded thread in embryo state, after the
 	// checkpoint so that a divergence rollback reverts it to an embryo again
@@ -150,34 +193,17 @@ func prepareReplayFlat(mod *tir.Module, fl *record.Flat, opts Options, preVars [
 	for _, tl := range threads[1:] {
 		t, err := rt.newThread(int(tl.EntryFn), 0, true)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		go t.trampoline()
 		if t.id != tl.TID {
-			return fail(fmt.Errorf("core: trace thread %d materialized as %d", tl.TID, t.id))
+			return fmt.Errorf("core: trace thread %d materialized as %d", tl.TID, t.id)
 		}
 	}
-
-	// Load the concatenated lists. Shadow variables are pre-created so their
-	// recorded orders are in place before first use; varFor finds them by
-	// address and rewrites the in-memory index word on demand. A checkpoint
-	// shadow table, when provided, seeds creation order (and thereby IDs)
-	// exactly as the recording assigned them.
-	if err := rt.seedShadows(preVars); err != nil {
-		return fail(err)
+	if end == nil {
+		return nil
 	}
-	rt.mu.Lock()
-	for i := range threads {
-		rt.threads[i].list = record.LoadThreadList(threads[i].Events)
-	}
-	rt.mu.Unlock()
-	for _, vl := range vars {
-		s := rt.replayVarFor(vl.Addr)
-		s.mu.Lock()
-		s.order = record.LoadVarList(vl.Order)
-		s.mu.Unlock()
-	}
-	return rt, nil
+	return rt.seedShadows(end.Vars)
 }
 
 // seedShadows pre-creates the shadow table from a checkpoint's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -130,6 +131,24 @@ func TestOfflineReplayMultiEpoch(t *testing.T) {
 	}
 	if d := mem.DiffBytes(img1, img2); d != 0 {
 		t.Fatalf("final heap image differs in %d bytes", d)
+	}
+}
+
+// TestPrepareReplayRejectsSparseTIDs: replay from program start pre-creates
+// every recorded thread in slot order, so epochs whose thread IDs have a gap
+// — legal in a mid-trace segment, where reclaimed threads leave holes (see
+// record.Flat) — are refused.
+func TestPrepareReplayRejectsSparseTIDs(t *testing.T) {
+	mod := buildCounter(2, 5)
+	exit := []record.Event{{Kind: record.KExit, Pos: -1}}
+	for name, threads := range map[string][]record.ThreadLog{
+		"gap":        {{TID: 0, Events: exit}, {TID: 2, Events: exit}},
+		"high start": {{TID: 3, Events: exit}, {TID: 7, Events: exit}},
+	} {
+		_, err := PrepareReplay(mod, []*record.EpochLog{{Epoch: 1, Threads: threads}}, Options{})
+		if err == nil || !strings.Contains(err.Error(), "non-dense thread IDs") {
+			t.Errorf("%s: want a non-dense thread ID error, got %v", name, err)
+		}
 	}
 }
 

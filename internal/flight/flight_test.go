@@ -2,8 +2,10 @@ package flight
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/tir"
 	"repro/internal/trace"
@@ -98,7 +100,7 @@ func TestRingSpillSuffixReplays(t *testing.T) {
 		t.Fatalf("spilled summary = %+v, want exit %d and no partial flag", h.Summary(), rep.Exit)
 	}
 
-	// Whole-trace path: compareSummary enforces the recorded exit and the
+	// Whole-trace path: the executor enforces the recorded exit and the
 	// trimmed output byte-identically.
 	mod, err := spec.Build()
 	if err != nil {
@@ -122,6 +124,25 @@ func TestRingSpillSuffixReplays(t *testing.T) {
 	}
 	if segStats.Failed != 0 || segStats.Matched != segStats.Jobs {
 		t.Fatalf("segment stats = %+v", segStats)
+	}
+
+	// Analysis is the same replay with observers: a suffix trace analyzes
+	// whole — resuming from the leading checkpoint like the replay above —
+	// and segmented, with equal findings.
+	ajob := trace.AnalyzeJob{Job: job, NewAnalyzers: func() []analysis.Analyzer {
+		return []analysis.Analyzer{analysis.NewRaceDetector(), analysis.NewLeakDetector()}
+	}}
+	whole, wstats := trace.AnalyzeBatch([]trace.AnalyzeJob{ajob}, 1)
+	if !whole[0].Matched || wstats.Matched != 1 {
+		t.Fatalf("whole-trace analysis of the suffix did not match: %v", whole[0].Err)
+	}
+	seg, _, err := trace.AnalyzeSegments(ajob, 2)
+	if err != nil || !seg.Matched {
+		t.Fatalf("segmented analysis of the suffix: matched=%v err=%v", seg.Matched, err)
+	}
+	if len(whole[0].Findings) == 0 || !reflect.DeepEqual(whole[0].Findings, seg.Findings) {
+		t.Fatalf("suffix findings differ between paths:\nwhole:   %+v\nsegment: %+v",
+			whole[0].Findings, seg.Findings)
 	}
 }
 

@@ -103,9 +103,10 @@ var (
 	CoreRollbacks = Default().NewCounter(MCoreRollbacks,
 		"In-situ replay rollbacks (re-executions after a divergent replay attempt).")
 
-	// Segment-parallel analysis (trace.AnalyzeSegments).
+	// Analysis through the trace executor (trace.AnalyzeBatch,
+	// trace.AnalyzeSegments).
 	AnalysisSegment = Default().NewHistogram(MAnalysisSegment,
-		"Wall time of one analysis segment: checkpoint restore, replay, and tape capture.", nil)
+		"Wall time of one analyzed segment: checkpoint fold, decode, and replay with the analyzers or a tape attached.", nil)
 	AnalysisStateFold = Default().NewHistogram(MAnalysisStateFold,
 		"Time to round-trip the analyzer state chain (encode + decode) at a segment boundary.", nil)
 	AnalysisMerge = Default().NewHistogram(MAnalysisMerge,

@@ -51,59 +51,24 @@ func (ep *EpochLog) EventCount() int {
 	return n
 }
 
-// FlattenEpochs merges a multi-epoch log sequence into whole-program
-// per-thread and per-variable lists suitable for a single replay pass from
-// program start: per-thread lists are concatenated in epoch order, and each
-// ordered event's Pos is rebased by the length its variable's order list had
-// accumulated in earlier epochs. Inputs are not mutated (epoch logs may be
-// cached by a trace store); the returned lists are fresh copies.
-//
-// Thread IDs must be dense (0..N-1 over the union of all epochs) and each
-// thread's entry function must be consistent across epochs — both hold for
-// any log sequence the runtime produced.
-func FlattenEpochs(epochs []*EpochLog) (threads []ThreadLog, vars []VarLog, err error) {
-	threads, vars, err = FlattenEpochsAt(epochs)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range threads {
-		if threads[i].TID != int32(i) {
-			// The runtime allocates TIDs densely and captures threads in
-			// ascending order, so a gap means a corrupted or truncated log.
-			return nil, nil, fmt.Errorf("record: non-dense thread IDs in epoch logs (slot %d holds tid %d)",
-				i, threads[i].TID)
-		}
-	}
-	return threads, vars, nil
-}
-
-// FlattenEpochsAt is FlattenEpochs for a mid-trace epoch range (segment
-// replay from a checkpoint): thread IDs need not start at zero or be dense,
-// because threads reclaimed before the range leave permanent gaps. Threads
-// are returned in ascending TID order.
-func FlattenEpochsAt(epochs []*EpochLog) (threads []ThreadLog, vars []VarLog, err error) {
-	f := NewFlattener()
-	for _, ep := range epochs {
-		f.Add(ep)
-	}
-	fl, err := f.Flat()
-	if err != nil {
-		return nil, nil, err
-	}
-	return fl.Threads, fl.Vars, nil
-}
-
-// Flat is a flattened epoch range: the concatenated per-thread and
-// per-variable lists plus the range's epoch count and final stop reason —
-// everything a whole-range replay derives from an epoch slice. Consumers
-// that stream epochs in bounded windows (trace analysis workers) build one
-// incrementally through Flattener instead of pinning every decoded epoch
-// frame at once.
+// Flat is a flattened epoch range, suitable for a single replay pass: the
+// per-thread lists concatenated in epoch order, each ordered event's Pos
+// rebased by the length its variable's order list had accumulated in
+// earlier epochs, plus the range's first sequence number, epoch count and
+// final stop reason — everything a replay derives from an epoch slice.
+// Thread IDs ascend but need not start at zero or be dense: threads
+// reclaimed before a mid-trace range leave permanent gaps (replay from
+// program start checks density itself). Consumers that stream epochs in
+// bounded windows (the trace executor) build one incrementally through
+// Flattener instead of pinning every decoded epoch frame at once.
 type Flat struct {
 	// Threads holds the concatenated per-thread lists, ascending TID.
 	Threads []ThreadLog
 	// Vars holds the rebased per-variable order lists, first-use order.
 	Vars []VarLog
+	// First is the first folded epoch's sequence number; the range covers
+	// epochs First..First+Epochs-1.
+	First int64
 	// Epochs counts the epochs folded in.
 	Epochs int64
 	// Reason is the last folded epoch's StopReason integer.
@@ -128,10 +93,17 @@ func NewFlattener() *Flattener {
 }
 
 // Add folds one more epoch into the flattened lists. Epochs must be added
-// in trace order; the input is not mutated (epoch logs may be cached by a
-// trace store) and its events are copied.
+// in trace order with consecutive sequence numbers; the input is not
+// mutated (epoch logs may be cached by a trace store) and its events are
+// copied.
 func (f *Flattener) Add(ep *EpochLog) {
 	if f.err != nil {
+		return
+	}
+	if f.flat.Epochs == 0 {
+		f.flat.First = ep.Epoch
+	} else if want := f.flat.First + f.flat.Epochs; ep.Epoch != want {
+		f.err = fmt.Errorf("record: epoch %d follows epoch %d in a flattened range", ep.Epoch, want-1)
 		return
 	}
 	threads, vars := f.flat.Threads, f.flat.Vars

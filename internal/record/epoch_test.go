@@ -100,6 +100,19 @@ func TestLoadedListsStartAtBeginning(t *testing.T) {
 	}
 }
 
+// flatten folds epochs through a Flattener.
+func flatten(epochs ...*EpochLog) (threads []ThreadLog, vars []VarLog, err error) {
+	f := NewFlattener()
+	for _, ep := range epochs {
+		f.Add(ep)
+	}
+	fl, err := f.Flat()
+	if err != nil {
+		return nil, nil, err
+	}
+	return fl.Threads, fl.Vars, nil
+}
+
 // TestFlattenEpochsRebasesPositions: concatenating epochs must shift each
 // ordered event's Pos by the length its variable's order list accumulated
 // in earlier epochs, and must not mutate the inputs.
@@ -136,7 +149,7 @@ func TestFlattenEpochsRebasesPositions(t *testing.T) {
 			{Addr: 0x10, Order: []int32{1, 0}},
 		},
 	}
-	threads, vars, err := FlattenEpochs([]*EpochLog{ep1, ep2})
+	threads, vars, err := flatten(ep1, ep2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,28 +173,28 @@ func TestFlattenEpochsRebasesPositions(t *testing.T) {
 	}
 	// Inputs untouched.
 	if ep2.Threads[0].Events[0].Pos != 0 {
-		t.Fatal("FlattenEpochs mutated its input")
+		t.Fatal("Flattener mutated its input")
 	}
 
 	// Inconsistent entry functions are rejected.
-	bad := &EpochLog{Epoch: 3, Threads: []ThreadLog{{TID: 1, EntryFn: 5}}}
-	if _, _, err := FlattenEpochs([]*EpochLog{ep1, bad}); err == nil {
+	bad := &EpochLog{Epoch: 2, Threads: []ThreadLog{{TID: 1, EntryFn: 5}}}
+	if _, _, err := flatten(ep1, bad); err == nil {
 		t.Fatal("entry-function mismatch accepted")
 	}
-	// Non-dense thread IDs are rejected.
-	gap := &EpochLog{Epoch: 1, Threads: []ThreadLog{{TID: 0}, {TID: 2}}}
-	if _, _, err := FlattenEpochs([]*EpochLog{gap}); err == nil {
-		t.Fatal("non-dense thread IDs accepted")
+	// So is a range with a missing epoch.
+	ep3 := &EpochLog{Epoch: 3}
+	if _, _, err := flatten(ep1, ep3); err == nil {
+		t.Fatal("non-contiguous epoch accepted")
 	}
 }
 
 func TestFlattenEpochsAtSparseTIDs(t *testing.T) {
 	// Degenerate inputs a segment replay can legitimately produce.
-	if threads, vars, err := FlattenEpochsAt(nil); err != nil || len(threads) != 0 || len(vars) != 0 {
+	if threads, vars, err := flatten(); err != nil || len(threads) != 0 || len(vars) != 0 {
 		t.Fatalf("empty input: threads=%v vars=%v err=%v", threads, vars, err)
 	}
 	empty := &EpochLog{Epoch: 4}
-	if threads, _, err := FlattenEpochsAt([]*EpochLog{empty}); err != nil || len(threads) != 0 {
+	if threads, _, err := flatten(empty); err != nil || len(threads) != 0 {
 		t.Fatalf("threadless epoch: threads=%v err=%v", threads, err)
 	}
 
@@ -206,16 +219,12 @@ func TestFlattenEpochsAtSparseTIDs(t *testing.T) {
 		},
 		Vars: []VarLog{{Addr: 0x20, Order: []int32{3}}},
 	}
-	threads, vars, err := FlattenEpochsAt([]*EpochLog{ep5, ep6})
+	threads, vars, err := flatten(ep5, ep6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(threads) != 2 || threads[0].TID != 3 || threads[1].TID != 7 {
 		t.Fatalf("threads = %+v, want sparse TIDs 3 and 7", threads)
-	}
-	// FlattenEpochs must reject the same input: slot 0 holds TID 3.
-	if _, _, err := FlattenEpochs([]*EpochLog{ep5, ep6}); err == nil {
-		t.Fatal("FlattenEpochs accepted sparse thread IDs")
 	}
 	// Thread 3's epoch-6 lock rebases past epoch 5's two acquisitions.
 	if got := threads[0].Events[1]; got.Pos != 2 {
@@ -233,7 +242,7 @@ func TestFlattenEpochsAtSparseTIDs(t *testing.T) {
 	solo := &EpochLog{Epoch: 9, Threads: []ThreadLog{
 		{TID: 5, EntryFn: 3, Events: []Event{{Kind: KExit, Pos: -1}}},
 	}}
-	threads, _, err = FlattenEpochsAt([]*EpochLog{solo})
+	threads, _, err = flatten(solo)
 	if err != nil || len(threads) != 1 || threads[0].TID != 5 {
 		t.Fatalf("single thread: threads=%+v err=%v", threads, err)
 	}
@@ -241,11 +250,11 @@ func TestFlattenEpochsAtSparseTIDs(t *testing.T) {
 	// Corruption is still rejected: descending TIDs within an epoch, and a
 	// thread whose entry function changes across epochs.
 	unordered := &EpochLog{Epoch: 1, Threads: []ThreadLog{{TID: 7}, {TID: 3}}}
-	if _, _, err := FlattenEpochsAt([]*EpochLog{unordered}); err == nil {
+	if _, _, err := flatten(unordered); err == nil {
 		t.Fatal("unordered thread IDs accepted")
 	}
 	turncoat := &EpochLog{Epoch: 6, Threads: []ThreadLog{{TID: 3, EntryFn: 9}}}
-	if _, _, err := FlattenEpochsAt([]*EpochLog{ep5, turncoat}); err == nil {
+	if _, _, err := flatten(ep5, turncoat); err == nil {
 		t.Fatal("entry-function change accepted")
 	}
 }

@@ -94,6 +94,7 @@ func TestServerFlightRecordJob(t *testing.T) {
 	for _, body := range []string{
 		`{"kind":"replay","trace":"flt"}`,
 		`{"kind":"segment-replay","trace":"flt","workers":2}`,
+		`{"kind":"analyze","trace":"flt"}`,
 	} {
 		info := c.submit(t, body)
 		if final := c.wait(t, info.ID); final.State != sched.Done {

@@ -564,10 +564,8 @@ func (s *Server) buildJob(req *JobRequest) (*sched.Job, *jobTel, error) {
 		}, tel, nil
 
 	case "replay", "analyze":
-		if req.Trace == "" {
-			return nil, nil, fmt.Errorf("%s job: trace is required", req.Kind)
-		}
-		var factory func() []analysis.Analyzer
+		// A replay is an analysis with the empty analyzer set.
+		factory := func() []analysis.Analyzer { return nil }
 		if req.Kind == "analyze" {
 			spec := req.Analyzers
 			if spec == "" {
@@ -581,112 +579,58 @@ func (s *Server) buildJob(req *JobRequest) (*sched.Job, *jobTel, error) {
 				return az
 			}
 		}
-		if err := s.validateTrace(req.Trace); err != nil {
-			return nil, nil, err
-		}
-		name := req.Kind + "/" + req.Trace
-		opts := core.Options{MaxReplays: req.MaxReplays, DelayOnDivergence: !req.NoDelay}
-		tname := req.Trace
-		segmented := req.Kind == "analyze" && req.Segments
+		kind := req.Kind
+		segmented := kind == "analyze" && req.Segments
 		workers := req.Workers
-		tel := newJobTel(name)
-		return &sched.Job{
-			Name: name,
-			Run: func(ctx context.Context) (any, error) {
-				root, start := tel.begin()
-				defer root.End()
-				release := s.holdRead(tname)
-				defer release()
-				// Module and trace are resolved here, not at submission: a
-				// queued job must not pin a trace handle and a rebuilt
-				// module for its whole time in the queue. The handle itself
-				// decodes lazily — the worker streams epochs through the
-				// store's frame cache as the replay consumes them.
-				resolveStart := time.Now()
-				job, err := ResolveJob(s.store, tname, opts)
-				if err != nil {
-					return nil, err
-				}
-				resolve := time.Since(resolveStart)
-				root.Record("resolve", resolveStart, resolveStart.Add(resolve))
-				defer job.Handle.Close()
-				job.Opts.Interrupt = ctx.Err
-				job.Span = root
-				if factory == nil {
-					res, err := s.runReplay(&job)
-					if err != nil {
-						return nil, err
-					}
-					res.Timing = tel.timing(start, resolve)
-					return res, nil
-				}
+		return s.traceJob(req,
+			func(job trace.Job, timing func([]SegmentTiming) *JobTiming) (any, error) {
+				aj := trace.AnalyzeJob{Job: job, NewAnalyzers: factory}
+				var r trace.AnalyzeResult
+				var stats trace.BatchStats
 				if segmented {
-					res, attrib, err := s.runAnalyzeSegments(&job, factory, workers)
-					if err != nil {
-						return nil, err
-					}
-					timing := tel.timing(start, resolve)
-					for _, at := range attrib {
-						timing.Segments = append(timing.Segments, SegmentTiming{
-							Seg:        at.Seg,
-							FirstEpoch: at.FirstEpoch,
-							LastEpoch:  at.LastEpoch,
-							DecodeMS:   durMS(at.Decode),
-							FoldMS:     durMS(at.Fold),
-							ExecuteMS:  durMS(at.Exec),
-							MergeMS:    durMS(at.Merge),
-							Matched:    true,
-						})
-					}
-					res.Timing = timing
-					return res, nil
+					r, stats, _ = trace.AnalyzeSegments(aj, workers) // the error is r.Err
+				} else {
+					var rs []trace.AnalyzeResult
+					rs, stats = trace.AnalyzeBatch([]trace.AnalyzeJob{aj}, 1)
+					r = rs[0]
 				}
-				res, err := s.runAnalyze(&job, factory)
+				res, err := s.analyzeResult(&job, &r, stats.Events)
 				if err != nil {
 					return nil, err
 				}
-				res.Timing = tel.timing(start, resolve)
+				rows := make([]SegmentTiming, len(r.Segments))
+				for i, at := range r.Segments {
+					rows[i] = SegmentTiming{
+						Seg:        at.Seg,
+						FirstEpoch: at.FirstEpoch,
+						LastEpoch:  at.LastEpoch,
+						FoldMS:     durMS(at.Fold),
+						DecodeMS:   durMS(at.Decode),
+						ExecuteMS:  durMS(at.Exec),
+						MergeMS:    durMS(at.Merge),
+						Matched:    true,
+					}
+				}
+				res.Timing = timing(rows)
+				if kind == "replay" {
+					return &res.ReplayResult, nil
+				}
 				return res, nil
-			},
-		}, tel, nil
+			})
 
 	case "segment-replay":
-		if req.Trace == "" {
-			return nil, nil, errors.New("segment-replay job: trace is required")
-		}
-		if err := s.validateTrace(req.Trace); err != nil {
-			return nil, nil, err
-		}
 		workers := req.Workers
-		tname := req.Trace
-		opts := core.Options{MaxReplays: req.MaxReplays, DelayOnDivergence: !req.NoDelay}
-		tel := newJobTel("segment-replay/" + tname)
-		return &sched.Job{
-			Name: "segment-replay/" + tname,
-			Run: func(ctx context.Context) (any, error) {
-				root, begin := tel.begin()
-				defer root.End()
-				release := s.holdRead(tname)
-				defer release()
-				resolveStart := time.Now()
-				job, err := ResolveJob(s.store, tname, opts)
-				if err != nil {
-					return nil, err
-				}
-				resolve := time.Since(resolveStart)
-				root.Record("resolve", resolveStart, resolveStart.Add(resolve))
-				defer job.Handle.Close()
-				job.Opts.Interrupt = ctx.Err
-				job.Span = root
+		return s.traceJob(req,
+			func(job trace.Job, timing func([]SegmentTiming) *JobTiming) (any, error) {
 				start := time.Now()
 				results, stats, err := trace.ReplaySegments(job, workers)
 				if err != nil {
 					return nil, err
 				}
 				s.eventsReplayed.Add(stats.Events)
-				timing := tel.timing(begin, resolve)
-				for _, sr := range results {
-					timing.Segments = append(timing.Segments, SegmentTiming{
+				rows := make([]SegmentTiming, len(results))
+				for i, sr := range results {
+					rows[i] = SegmentTiming{
 						Seg:        sr.Seg,
 						FirstEpoch: sr.FirstEpoch,
 						LastEpoch:  sr.LastEpoch,
@@ -695,7 +639,7 @@ func (s *Server) buildJob(req *JobRequest) (*sched.Job, *jobTel, error) {
 						ExecuteMS:  durMS(sr.Exec),
 						StitchMS:   durMS(sr.Stitch),
 						Matched:    sr.Matched,
-					})
+					}
 				}
 				return &SegmentReplayResult{
 					Trace:    job.Name,
@@ -703,10 +647,9 @@ func (s *Server) buildJob(req *JobRequest) (*sched.Job, *jobTel, error) {
 					Matched:  stats.Matched,
 					Events:   stats.Events,
 					WallNS:   time.Since(start).Nanoseconds(),
-					Timing:   timing,
+					Timing:   timing(rows),
 				}, nil
-			},
-		}, tel, nil
+			})
 
 	case "compact":
 		if req.Trace == "" {
@@ -785,54 +728,52 @@ func (s *Server) validateTrace(name string) error {
 	return nil
 }
 
-// runReplay executes one replay job on the calling worker.
-func (s *Server) runReplay(job *trace.Job) (*ReplayResult, error) {
-	results, stats := trace.ReplayBatch([]trace.Job{*job}, 1)
-	r := results[0]
-	if !r.Matched {
-		return nil, r.Err
+// traceJob validates and builds the scheduler job of a trace-consuming
+// kind. Every such job runs the same prelude on its worker — hold the trace
+// against deletion, resolve it, wire cancellation and the root span into
+// the replay job — and then exec, which runs the kind's trace-layer entry
+// point and shapes the result payload; timing builds the payload's latency
+// breakdown around exec's per-segment rows.
+//
+// Module and trace are resolved on the worker, not at submission: a queued
+// job must not pin a trace handle and a rebuilt module for its whole time
+// in the queue. The handle itself decodes lazily — the executor streams
+// epochs through the store's frame cache as the replay consumes them.
+func (s *Server) traceJob(req *JobRequest,
+	exec func(job trace.Job, timing func([]SegmentTiming) *JobTiming) (any, error)) (*sched.Job, *jobTel, error) {
+	if req.Trace == "" {
+		return nil, nil, fmt.Errorf("%s job: trace is required", req.Kind)
 	}
-	s.eventsReplayed.Add(stats.Events)
-	res := &ReplayResult{
-		Trace:   job.Name,
-		Matched: true,
-		Events:  stats.Events,
-		WallNS:  r.Wall.Nanoseconds(),
-	}
-	if r.Report != nil {
-		res.Attempts = r.Report.Stats.LastReplayAttempts
-	}
-	if r.Err != nil {
-		res.Fault = r.Err.Error()
-	}
-	return res, nil
-}
-
-// runAnalyze executes one analyze job on the calling worker.
-func (s *Server) runAnalyze(job *trace.Job, factory func() []analysis.Analyzer) (*AnalyzeJobResult, error) {
-	results, stats := trace.AnalyzeBatch([]trace.AnalyzeJob{{
-		Job:          *job,
-		NewAnalyzers: factory,
-	}}, 1)
-	return s.analyzeResult(job, &results[0], stats.Events)
-}
-
-// runAnalyzeSegments executes one analyze job segment-parallel, returning
-// the per-segment attribution rows alongside for the timing breakdown.
-func (s *Server) runAnalyzeSegments(job *trace.Job, factory func() []analysis.Analyzer,
-	workers int) (*AnalyzeJobResult, []trace.SegmentAttribution, error) {
-	r, stats, err := trace.AnalyzeSegments(trace.AnalyzeJob{
-		Job:          *job,
-		NewAnalyzers: factory,
-	}, workers)
-	if err != nil {
+	if err := s.validateTrace(req.Trace); err != nil {
 		return nil, nil, err
 	}
-	res, err := s.analyzeResult(job, &r, stats.Events)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, r.Segments, nil
+	name, tname := req.Kind+"/"+req.Trace, req.Trace
+	opts := core.Options{MaxReplays: req.MaxReplays, DelayOnDivergence: !req.NoDelay}
+	tel := newJobTel(name)
+	return &sched.Job{
+		Name: name,
+		Run: func(ctx context.Context) (any, error) {
+			root, start := tel.begin()
+			defer root.End()
+			release := s.holdRead(tname)
+			defer release()
+			resolveStart := time.Now()
+			job, err := ResolveJob(s.store, tname, opts)
+			if err != nil {
+				return nil, err
+			}
+			resolve := time.Since(resolveStart)
+			root.Record("resolve", resolveStart, resolveStart.Add(resolve))
+			defer job.Handle.Close()
+			job.Opts.Interrupt = ctx.Err
+			job.Span = root
+			return exec(job, func(rows []SegmentTiming) *JobTiming {
+				t := tel.timing(start, resolve)
+				t.Segments = rows
+				return t
+			})
+		},
+	}, tel, nil
 }
 
 // analyzeResult builds the job result payload from an analysis outcome,

@@ -176,9 +176,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // endpoint; the oldest submission is evicted first.
 const maxTimelines = 256
 
-// jobSpanCap bounds one job's span ring; a segment replay emits ~5 spans
-// per segment plus core epoch boundaries, so this covers large fan-outs
-// before drop-oldest kicks in.
+// jobSpanCap bounds one job's span ring; the executor emits ~5 spans per
+// segment (a recording, one per epoch boundary), so this covers large
+// fan-outs before drop-oldest kicks in.
 const jobSpanCap = 4096
 
 // jobTel couples one job's span recorder with submission-time bookkeeping:
@@ -227,26 +227,28 @@ type JobTiming struct {
 	ResolveMS float64 `json:"resolve_ms,omitempty"`
 	// ExecuteMS is the work itself.
 	ExecuteMS float64 `json:"execute_ms"`
-	// Segments breaks a segment-replay job down per segment.
+	// Segments breaks a trace-consuming job down per executed segment; a
+	// whole-trace replay or analyze has exactly one row.
 	Segments []SegmentTiming `json:"segments,omitempty"`
 }
 
-// SegmentTiming is one segment's stage breakdown inside a segment-replay
-// job result.
+// SegmentTiming is one segment's stage breakdown inside a replay,
+// segment-replay or analyze job result.
 type SegmentTiming struct {
 	Seg        int   `json:"seg"`
 	FirstEpoch int64 `json:"first_epoch"`
 	LastEpoch  int64 `json:"last_epoch"`
-	// Stage milliseconds: checkpoint folds, epoch-slice decode, replay
+	// Stage milliseconds: checkpoint folds, epoch-range decode, replay
 	// execution, and the final-segment oracle check (interior segments
-	// stitch inside execute).
+	// stitch inside execute; replay and analyze rows leave it zero).
 	FoldMS    float64 `json:"fold_ms"`
 	DecodeMS  float64 `json:"decode_ms"`
 	ExecuteMS float64 `json:"execute_ms"`
 	StitchMS  float64 `json:"stitch_ms"`
 	// MergeMS is a segmented-analyze segment's share of the sequential
 	// analyzer fold (tape re-delivery plus boundary state round-trip);
-	// zero for segment-replay jobs.
+	// zero when nothing was folded — replays, and one-segment analyzes,
+	// whose analyzers attach live.
 	MergeMS float64 `json:"merge_ms,omitempty"`
 	Matched bool    `json:"matched"`
 }

@@ -219,6 +219,84 @@ func TestServerTelemetry(t *testing.T) {
 		}
 	})
 
+	// Whole-trace jobs run the same executor as a one-segment plan, so they
+	// carry the same observability: one timing.segments row covering the
+	// whole epoch range (interior checkpoints ignored) and a "segment 0"
+	// track with the four stage children.
+	for _, kind := range []string{"analyze", "replay"} {
+		t.Run("whole-"+kind, func(t *testing.T) {
+			info := c.submit(t, fmt.Sprintf(`{"kind":%q,"trace":"seg"}`, kind))
+			final := c.wait(t, info.ID)
+			if final.State != sched.Done {
+				t.Fatalf("%s job: %v (%s)", kind, final.State, final.Err)
+			}
+			raw, err := json.Marshal(final.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res struct {
+				Timing *struct {
+					Segments []struct {
+						Seg        int     `json:"seg"`
+						FirstEpoch int64   `json:"first_epoch"`
+						LastEpoch  int64   `json:"last_epoch"`
+						ExecuteMS  float64 `json:"execute_ms"`
+						MergeMS    float64 `json:"merge_ms"`
+						Matched    bool    `json:"matched"`
+					} `json:"segments"`
+				} `json:"timing"`
+			}
+			if err := json.Unmarshal(raw, &res); err != nil {
+				t.Fatal(err)
+			}
+			entry, err := st.Entry("seg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Timing == nil || len(res.Timing.Segments) != 1 {
+				t.Fatalf("whole-trace %s timing = %+v, want exactly one segment row", kind, res.Timing)
+			}
+			row := res.Timing.Segments[0]
+			if row.Seg != 0 || row.FirstEpoch != 1 || row.LastEpoch != int64(entry.Epochs) ||
+				!row.Matched || row.ExecuteMS <= 0 || row.MergeMS != 0 {
+				t.Fatalf("whole-trace %s row = %+v (recording has %d epochs)", kind, row, entry.Epochs)
+			}
+
+			body, status := getBody(t, ts.Client(), fmt.Sprintf("%s/api/v1/jobs/%d/timeline", ts.URL, info.ID))
+			if status != http.StatusOK {
+				t.Fatalf("timeline: status %d: %s", status, body)
+			}
+			var doc chromeDoc
+			if err := json.Unmarshal([]byte(body), &doc); err != nil {
+				t.Fatalf("timeline is not valid JSON: %v", err)
+			}
+			names := make(map[string]int)
+			segTID := -1
+			for _, ev := range doc.TraceEvents {
+				names[ev.Name]++
+				if ev.Name == "segment 0" {
+					segTID = ev.TID
+				}
+			}
+			if names["segment 0"] != 1 {
+				t.Fatalf("timeline lacks the one segment track: %v", names)
+			}
+			for _, ev := range doc.TraceEvents {
+				switch ev.Name {
+				case "fold", "decode", "execute", "stitch":
+					if ev.TID != segTID {
+						t.Fatalf("stage %q on track %d, segment 0 is track %d", ev.Name, ev.TID, segTID)
+					}
+				}
+			}
+			for _, stage := range []string{"fold", "decode", "execute", "stitch"} {
+				if names[stage] != 1 {
+					t.Fatalf("segment 0 has %d %q children, want 1 (%v)", names[stage], stage, names)
+				}
+			}
+		})
+	}
+
 	t.Run("timeline-unknown-job", func(t *testing.T) {
 		_, status := getBody(t, ts.Client(), ts.URL+"/api/v1/jobs/999999/timeline")
 		if status != http.StatusNotFound {

@@ -230,7 +230,8 @@ func TestAnalyzeSegmentsRollbackRetry(t *testing.T) {
 // test: a whole-trace analyze job through a store handle must live within a
 // cache budget sized well below the decoded recording — the windowed epoch
 // stream releases frames instead of pinning the trace — while producing the
-// same findings as the in-memory path.
+// same findings as the in-memory path. Whole replay decodes through the
+// same windows and is held to the same budget.
 func TestAnalyzeStreamingCacheBounded(t *testing.T) {
 	spec := scaledSpec(t, "streamcluster", 0.5)
 	opts := core.Options{Seed: 9, EventCap: 24}
@@ -292,5 +293,17 @@ func TestAnalyzeStreamingCacheBounded(t *testing.T) {
 	}
 	if cstats.Misses == 0 {
 		t.Fatal("streaming analyze never touched the store cache")
+	}
+
+	replayed, rstats := ReplayBatch([]Job{{Name: "stream", Module: mod, Handle: h, Opts: ropts, Setup: setup}}, 1)
+	if rstats.Failed != 0 {
+		t.Fatalf("store-handle replay failed: %v", replayed[0].Err)
+	}
+	after := st.Stats()
+	if after.CachedBytes > limit {
+		t.Fatalf("cache cost %d after replay exceeds the %d budget", after.CachedBytes, limit)
+	}
+	if after.Misses == cstats.Misses {
+		t.Fatal("streaming replay never re-fetched an evicted frame")
 	}
 }

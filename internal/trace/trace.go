@@ -32,7 +32,7 @@
 // precedes the epoch it begins, and its memory image is delta/zero-run
 // encoded against the previous checkpoint's (Trace.CheckpointStates folds
 // the chain back). Checkpoints split a long trace into independently
-// replayable segments (segment.go); v1 traces, which have none, still load.
+// replayable segments (exec.go); v1 traces, which have none, still load.
 //
 // Format v3 adds random access: the writer closes the file with an index
 // footer frame (byte offsets, payload lengths, and CRCs of every epoch and
@@ -57,14 +57,15 @@
 // program end — a flight-recorder spill — whose exit and output are not
 // replay oracles. A trace may begin with a keyframe checkpoint at its
 // first epoch frame: such a suffix trace replays from the checkpoint
-// instead of program start (segment.go, batch.go).
+// instead of program start, on every replay and analysis path (exec.go).
 //
 // Writer streams epochs as the runtime flushes them (Writer.Sink plugs
 // directly into core.Options.TraceSink, Writer.CheckpointSink into
 // core.Options.CheckpointSink); Reader validates and decodes. Store manages
 // a directory of traces indexed by module fingerprint with a byte-bounded
-// frame-granular decode cache, and batch.go fans stored traces across a
-// worker pool for parallel offline replay.
+// frame-granular decode cache, and exec.go is the one replay executor every
+// offline replay and analysis of a stored trace — whole or segmented, one
+// job or a fan-out across the worker pool — is a projection of.
 package trace
 
 import (
