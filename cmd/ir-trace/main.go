@@ -129,7 +129,7 @@ func cmdRecord(args []string) error {
 	keyEvery := fs.Int("keyframe-every", 0,
 		"make every K-th checkpoint frame a full-image keyframe (0 = writer default)")
 	compress := fs.Bool("compress", false,
-		"deflate epoch and checkpoint frame bodies as they are written (format v4)")
+		"deflate epoch and checkpoint frame bodies as they are written")
 	flightN := fs.Int("flight", 0,
 		"flight-recorder mode: retain roughly the last N epochs in a bounded ring and store only that suffix (0 = record the whole run)")
 	fs.Parse(args)

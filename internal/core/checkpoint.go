@@ -11,7 +11,7 @@ package core
 // cost of a single divergence retry — proportional to the whole trace.
 //
 // This file exports the checkpoint so the trace layer can persist it
-// (Options.CheckpointEvery / Options.CheckpointSink, trace format v2), and
+// (Options.CheckpointEvery / Options.CheckpointSink, checkpoint frames), and
 // implements the inverse: PrepareReplayAt rebuilds a runtime *mid-trace*
 // from a persisted checkpoint, so one long trace becomes independently
 // replayable segments whose divergence retries roll back to the segment

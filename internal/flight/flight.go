@@ -5,7 +5,7 @@
 // The ring is an ordinary trace file that never gets its summary or index
 // frames: magic, header, then epoch and checkpoint frames in sink order.
 // Because every frame is appended through trace.Writer, any prefix of the
-// file is decodable — trace.ReadPrefix salvages a ring torn by SIGKILL.
+// file is decodable — trace.OpenPrefix salvages a ring torn by SIGKILL.
 // The ring is bounded by rotation, not by rewriting frames: once it holds
 // twice the retention target of epochs, the newest keyframe checkpoint
 // that still leaves the target behind it becomes the new origin, and the
@@ -15,11 +15,10 @@
 // self-contained and everything after it deltas only against retained
 // frames, so the byte copy preserves decodability.
 //
-// A spill re-encodes: the ring is decoded, trimmed to the newest
-// checkpoint that retains at least the target number of epochs, and
-// written into the store through the ordinary streaming path — leading
-// keyframe first, then the retained interleaving of checkpoints and
-// epochs. The result is a suffix trace (Handle.LeadingCheckpoint) that
+// A spill re-encodes: the ring is opened as a prefix handle, trimmed to
+// the newest checkpoint that retains at least the target number of epochs,
+// and streamed into the store (trace.Rewrite) — leading keyframe first,
+// then the retained interleaving of checkpoints and epochs. The result is a suffix trace (Handle.LeadingCheckpoint) that
 // replays from its first checkpoint instead of program start.
 package flight
 
@@ -290,11 +289,11 @@ func (r *Recorder) Spill(st *trace.Store, name string, sum *trace.Summary) (Spil
 		return SpillStats{}, fmt.Errorf("flight: recorder closed")
 	}
 	defer obs.FlightSpill.ObserveSince(time.Now())
-	tr, err := trace.ReadPrefix(io.NewSectionReader(r.rf.f, 0, r.rf.n))
+	h, err := trace.OpenPrefix(r.rf.f, r.rf.n)
 	if err != nil {
 		return SpillStats{}, fmt.Errorf("flight: decoding ring: %w", err)
 	}
-	return spillTrace(st, name, tr, r.retain, sum)
+	return spill(st, name, h, r.retain, sum)
 }
 
 // Salvage recovers a ring left behind by a crashed recording (the process
@@ -307,55 +306,50 @@ func Salvage(ringPath string, st *trace.Store, name string) (SpillStats, error) 
 	if err != nil {
 		return SpillStats{}, err
 	}
-	tr, err := trace.ReadPrefix(f)
-	f.Close()
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return SpillStats{}, err
+	}
+	h, err := trace.OpenPrefix(f, fi.Size())
 	if err != nil {
 		return SpillStats{}, fmt.Errorf("flight: salvaging ring: %w", err)
 	}
-	stats, err := spillTrace(st, name, tr, 0, nil)
+	stats, err := spill(st, name, h, 0, nil)
 	if err != nil {
 		return stats, err
 	}
 	return stats, os.Remove(ringPath)
 }
 
-// spillTrace re-encodes tr's retained suffix into the store. retain > 0
-// trims to the newest checkpoint keeping at least that many epochs; 0
-// keeps everything decodable. The suffix starts at a checkpoint whenever
-// one coincides with its first epoch — always the case for a rotated ring.
-func spillTrace(st *trace.Store, name string, tr *trace.Trace, retain int, sum *trace.Summary) (SpillStats, error) {
-	if len(tr.Epochs) == 0 {
+// spill re-encodes the retained suffix of the ring behind h into the
+// store. retain > 0 trims to the newest checkpoint keeping at least that
+// many epochs; 0 keeps everything decodable. The suffix starts at a
+// checkpoint whenever one coincides with its first epoch — always the case
+// for a rotated ring. Epoch sequence numbers are consecutive (the runtime
+// numbers them; a rotation drops a prefix), so counts are differences.
+func spill(st *trace.Store, name string, h *trace.Handle, retain int, sum *trace.Summary) (SpillStats, error) {
+	if h.NumEpochs() == 0 {
 		return SpillStats{}, fmt.Errorf("flight: ring holds no complete epoch")
 	}
-	h := trace.OpenTrace(tr) // folds checkpoint images on demand
-	cks := tr.Checkpoints
+	first, last := h.EpochRange()
+	cks := h.CheckpointEpochs()
 
-	epochAt := func(seq int64) int { // index of first epoch with Epoch >= seq
-		for i, ep := range tr.Epochs {
-			if ep.Epoch >= seq {
-				return i
-			}
-		}
-		return len(tr.Epochs)
-	}
 	cut := -1
-	if retain > 0 && len(tr.Epochs) > retain {
+	if retain > 0 && h.NumEpochs() > retain {
 		for k := len(cks) - 1; k >= 0; k-- {
-			if len(tr.Epochs)-epochAt(cks[k].Epoch()) >= retain {
+			if last-cks[k]+1 >= int64(retain) {
 				cut = k
 				break
 			}
 		}
 	}
-	if cut < 0 && len(cks) > 0 && cks[0].Epoch() == tr.Epochs[0].Epoch {
+	if cut < 0 && len(cks) > 0 && cks[0] == first {
 		cut = 0 // rotated ring: the suffix must resume from its leading keyframe
 	}
-
-	first := 0
 	if cut >= 0 {
-		first = epochAt(cks[cut].Epoch())
+		first = cks[cut]
 	}
-	epochs := tr.Epochs[first:]
 
 	out := &trace.Summary{Partial: true}
 	if sum != nil {
@@ -378,41 +372,21 @@ func spillTrace(st *trace.Store, name string, tr *trace.Trace, retain int, sum *
 	if err != nil {
 		return SpillStats{}, err
 	}
-	w, err := trace.NewWriter(p, tr.Header)
+	w, err := trace.NewWriter(p, h.Header())
+	if err == nil {
+		err = trace.Rewrite(w, h, cut)
+	}
+	if err == nil {
+		err = w.Finish(out)
+	}
 	if err != nil {
 		p.Abort()
 		return SpillStats{}, err
 	}
-	ci := cut
-	if ci < 0 {
-		ci = 0
-	}
-	for _, ep := range epochs {
-		for ci < len(cks) && cks[ci].Epoch() == ep.Epoch {
-			full, err := h.CheckpointAt(ci)
-			if err != nil {
-				p.Abort()
-				return SpillStats{}, err
-			}
-			if err := w.WriteCheckpoint(full); err != nil {
-				p.Abort()
-				return SpillStats{}, err
-			}
-			ci++
-		}
-		if err := w.WriteEpoch(ep); err != nil {
-			p.Abort()
-			return SpillStats{}, err
-		}
-	}
-	if err := w.Finish(out); err != nil {
-		p.Abort()
-		return SpillStats{}, err
-	}
 	stats := SpillStats{
-		Epochs:     len(epochs),
-		FirstEpoch: epochs[0].Epoch,
-		LastEpoch:  epochs[len(epochs)-1].Epoch,
+		Epochs:     w.Epochs(),
+		FirstEpoch: first,
+		LastEpoch:  last,
 		Suffix:     cut >= 0,
 		Bytes:      p.Bytes(),
 	}

@@ -162,7 +162,15 @@ func TestRingStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tr, err := trace.ReadPrefix(f)
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := trace.OpenPrefix(f, fi.Size())
+	if err != nil {
+		t.Fatalf("ring does not open: %v", err)
+	}
+	tr, err := h.Trace()
 	if err != nil {
 		t.Fatalf("ring does not decode: %v", err)
 	}

@@ -192,7 +192,7 @@ func (cfg Config) Check(p *Prog) error {
 	}
 
 	// --- (c) analyzer ground truth and determinism ---
-	epochs, err := h.AllEpochs()
+	epochs, err := h.Epochs(h.EpochRange())
 	if err != nil {
 		return err
 	}
@@ -285,7 +285,7 @@ func (cfg Config) Check(p *Prog) error {
 	if err := cfg.replayIdentical(p, mod, ch, ropts, recHeap); err != nil {
 		return fmt.Errorf("compacted-replay: %w", err)
 	}
-	cepochs, err := ch.AllEpochs()
+	cepochs, err := ch.Epochs(ch.EpochRange())
 	if err != nil {
 		return err
 	}
@@ -322,7 +322,7 @@ func (cfg Config) Check(p *Prog) error {
 // identity claim: matched schedule, recorded exit and output, and — when
 // the handle reaches back to program start — a byte-identical final heap.
 func (cfg Config) replayIdentical(p *Prog, mod *tir.Module, h *trace.Handle, ropts core.Options, recHeap []byte) error {
-	epochs, err := h.AllEpochs()
+	epochs, err := h.Epochs(h.EpochRange())
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,7 @@
 package heap
 
-// Allocator snapshot serialization for persisted checkpoint frames (trace
-// format v2): the metadata an offline replay needs to resume allocating
+// Allocator snapshot serialization for persisted checkpoint frames of the
+// trace format: the metadata an offline replay needs to resume allocating
 // mid-trace with identical layout. Both allocators are covered; a tag byte
 // distinguishes them so a replay configured with the wrong allocator fails
 // loudly instead of corrupting layout.

@@ -134,7 +134,7 @@ type RecordRequest struct {
 	// smaller intervals cost bytes and buy faster mid-trace folds.
 	KeyframeEvery int `json:"keyframe_every,omitempty"`
 	// Compress deflates epoch and checkpoint frame bodies as they are
-	// written (format v4 seekable compression); the index stays random
+	// written (seekable per-frame compression); the index stays random
 	// access, each frame decompressing independently through it.
 	Compress bool `json:"compress,omitempty"`
 	// FlightEpochs > 0 switches the recording to flight-recorder mode:

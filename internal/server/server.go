@@ -273,7 +273,7 @@ type TraceEntry struct {
 	Keyframes   int    `json:"keyframes"`
 	Bytes       int64  `json:"bytes"`
 	Complete    bool   `json:"complete"`
-	// Indexed reports whether the statistics came from the v3 index footer.
+	// Indexed reports whether the statistics came from the index footer.
 	Indexed bool   `json:"indexed"`
 	Error   string `json:"error,omitempty"`
 }

@@ -1,6 +1,6 @@
 package trace
 
-// Per-frame compression (format v4). A frame whose payload is
+// Per-frame compression. A frame whose payload is
 // deflate-compressed carries the frameCompressed bit OR-ed into its kind
 // byte; the stored payload is then
 //
@@ -30,8 +30,8 @@ import (
 const frameCompressed byte = 0x80
 
 // maxFramePayload is the generic bound on any frame payload, stored or
-// decompressed — shared by the streaming reader and the inflate path so a
-// corrupt length can never drive the allocation.
+// decompressed — shared by the sequential walk, the index decoder, and the
+// inflate path so a corrupt length can never drive the allocation.
 const maxFramePayload = 1 << 30
 
 // inflatePayload strips the compression bit and, when set, inflates the

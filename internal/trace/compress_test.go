@@ -1,6 +1,6 @@
 package trace
 
-// Seekable frame compression (format v4) and the store lifecycle: a
+// Seekable frame compression and the store lifecycle: a
 // compressed re-encoding must be semantically identical to its raw
 // original through every read path (decode, lazy handle slices, keyframe
 // folds, whole-trace and segment replay), corrupted compressed frames must
@@ -202,8 +202,10 @@ func TestCompressedFrameCorruption(t *testing.T) {
 	}
 
 	// CRC fixed up over a lying payload: the declared raw size is
-	// implausible, and inflate refuses it before allocating.
-	lying := append([]byte(nil), comp...)
+	// implausible, and inflate refuses it before allocating. (The footer
+	// keeps its own copy of every frame CRC, so the fix-up only gets as far
+	// as inflate in a file whose index region is gone — cut the trailer.)
+	lying := append([]byte(nil), comp[:len(comp)-indexTrailerLen]...)
 	copy(lying[pstart:], []byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // rawLen uvarint ≈ 4 GiB
 	binary.LittleEndian.PutUint32(lying[pend:], crc32ieee(lying[pstart:pend]))
 	_, err = Decode(lying)
@@ -275,6 +277,71 @@ func TestCompactEquivalence(t *testing.T) {
 	h.Close()
 
 	replayStoredTrace(t, st, "sc", "streamcluster", opts)
+
+	// Rewrite, the streaming loop under Compact and the flight spill, on a
+	// chain long enough to show the cost: each checkpoint frame is decoded
+	// once per compaction (one running fold, not one fold per checkpoint),
+	// the folded images equal the reference fold's, and re-encoding with
+	// the source's own settings reproduces the source byte for byte.
+	t.Run("rewrite-identity", func(t *testing.T) {
+		const keyEvery = 4
+		long := recordCheckpointedBytes(t, scaledSpec(t, "streamcluster", 1), opts, 1, keyEvery)
+		want, err := Decode(long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStates, err := want.CheckpointStates()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(wantStates)
+		if n < 12 {
+			t.Fatalf("want >= 12 checkpoints, got %d", n)
+		}
+
+		st := storeWith(t, "long", long)
+		before := decodeProbe.ckpts.Load()
+		if _, err := st.Compact("long", 3); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		if got := decodeProbe.ckpts.Load() - before; got != int64(n) {
+			t.Fatalf("compacting %d checkpoints decoded %d checkpoint frames, want each once", n, got)
+		}
+		h, err := st.Open("long")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		for k := 0; k < n; k++ {
+			ck, err := h.CheckpointAt(k)
+			if err != nil {
+				t.Fatalf("CheckpointAt(%d): %v", k, err)
+			}
+			if ck.Epoch != wantStates[k].Epoch || !ck.Snap.Equal(wantStates[k].Snap) {
+				t.Fatalf("compacted checkpoint %d differs from the reference fold", k)
+			}
+		}
+
+		src, err := OpenBytes(long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, src.Header())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SetKeyframeEvery(keyEvery)
+		if err := Rewrite(w, src, -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Finish(src.Summary()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), long) {
+			t.Fatalf("Rewrite with the source's settings is not the identity: %d bytes -> %d", len(long), buf.Len())
+		}
+	})
 }
 
 // TestCompactPreservesFindings: the analyzer verdict on a ground-truth

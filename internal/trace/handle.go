@@ -1,12 +1,13 @@
 package trace
 
-// Handle is the random-access view of one trace: opened cheaply (one
-// footer read for v3 files, one CRC-checked scan for v1/v2), it decodes
-// epoch ranges and checkpoints on demand instead of materializing the
-// whole recording. Every consumer of stored traces — whole-program replay,
-// segment-parallel replay, batch analysis, the service daemon — works
-// through a Handle, so the memory a trace costs is proportional to the
-// slices actually in flight, not to the recording's size.
+// Handle is the one reader: the random-access view of one trace, and the
+// only way bytes become one. Opened cheaply (one footer read for a
+// finished file, one CRC-checked scan otherwise), it decodes epoch ranges
+// and checkpoints on demand instead of materializing the whole recording.
+// Every consumer of stored traces — whole-program replay, segment-parallel
+// replay, batch analysis, the service daemon — works through a Handle, so
+// the memory a trace costs is proportional to the slices actually in
+// flight, not to the recording's size.
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/record"
 )
@@ -46,62 +48,64 @@ type Handle struct {
 	mark contentKey
 }
 
-// OpenFile opens the trace at path as an uncached, file-backed handle.
-func OpenFile(path string) (*Handle, error) {
+// openSized opens path for reading and reports its size.
+func openSized(path string) (*os.File, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	fi, err := f.Stat()
 	if err != nil {
 		f.Close()
+		return nil, 0, err
+	}
+	return f, fi.Size(), nil
+}
+
+// OpenFile opens the trace at path as an uncached, file-backed handle.
+func OpenFile(path string) (*Handle, error) {
+	f, size, err := openSized(path)
+	if err != nil {
 		return nil, err
 	}
-	h, err := newFileHandle(f, fi.Size())
+	h, err := open(f, size, false)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return h, nil
-}
-
-// newFileHandle indexes an open trace file and wraps it. The handle owns f.
-func newFileHandle(f *os.File, size int64) (*Handle, error) {
-	start := time.Now()
-	hdr, idx, err := openFileIndex(f, size)
-	if err != nil {
-		return nil, err
-	}
-	h := &Handle{hdr: hdr, idx: idx, src: f, f: f}
-	if err := h.loadSummary(); err != nil {
-		return nil, err
-	}
-	obs.TraceHandleOpen.ObserveSince(start)
+	h.f = f
 	return h, nil
 }
 
 // OpenBytes opens an encoded trace held in memory as a handle; decoding
 // stays lazy exactly as for a file.
 func OpenBytes(b []byte) (*Handle, error) {
-	r := bytes.NewReader(b)
-	ix, err := loadFooterIndex(r, int64(len(b)))
+	return open(bytes.NewReader(b), int64(len(b)), false)
+}
+
+// OpenPrefix opens the longest clean prefix of the size-byte trace stream
+// behind src: whole, CRC-valid frames up to the first torn or corrupt one,
+// which is treated as the stream's end rather than an error. This is the
+// crash-salvage open — a recorder killed by SIGKILL can leave a final
+// partially written frame, and the epochs before it are still a valid
+// recording. Only the magic and header must be intact. The handle does not
+// own src.
+func OpenPrefix(src io.ReaderAt, size int64) (*Handle, error) {
+	return open(src, size, true)
+}
+
+// open indexes the size-byte trace behind src (openIndex) and wraps it.
+func open(src io.ReaderAt, size int64, salvage bool) (*Handle, error) {
+	start := time.Now()
+	hdr, idx, err := openIndex(src, size, salvage)
 	if err != nil {
 		return nil, err
 	}
-	var hdr Header
-	if ix != nil {
-		if hdr, err = readHeaderFrame(r); err != nil {
-			return nil, err
-		}
-	} else {
-		if hdr, ix, err = scanIndex(bytes.NewReader(b)); err != nil {
-			return nil, err
-		}
-	}
-	h := &Handle{hdr: hdr, idx: ix, src: r}
+	h := &Handle{hdr: hdr, idx: idx, src: src}
 	if err := h.loadSummary(); err != nil {
 		return nil, err
 	}
+	obs.TraceHandleOpen.ObserveSince(start)
 	return h, nil
 }
 
@@ -155,9 +159,9 @@ func (h *Handle) Summary() *Summary { return h.sum }
 // Complete reports whether the trace ends with its summary frame.
 func (h *Handle) Complete() bool { return h.idx.complete }
 
-// Indexed reports whether the handle was opened from the v3 index footer
-// (false: built by scanning — v1/v2 files, damaged v3 index regions, and
-// in-memory sources).
+// Indexed reports whether the handle was opened from the index footer
+// (false: built by scanning — unfinished recordings, damaged index
+// regions, salvaged prefixes — or wrapped around an in-memory trace).
 func (h *Handle) Indexed() bool { return h.idx.footer }
 
 // NumEpochs returns the trace's epoch frame count.
@@ -253,7 +257,7 @@ func (h *Handle) ckptAt(k int) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	ck, err := decodeCheckpoint(payload, h.hdr.Version, k == 0)
+	ck, err := decodeCheckpoint(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -290,19 +294,6 @@ func (h *Handle) Epochs(lo, hi int64) ([]*record.EpochLog, error) {
 	return out, nil
 }
 
-// AllEpochs decodes every epoch of the trace, in order.
-func (h *Handle) AllEpochs() ([]*record.EpochLog, error) {
-	out := make([]*record.EpochLog, 0, len(h.idx.epochs))
-	for i := range h.idx.epochs {
-		ep, err := h.epochAt(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ep)
-	}
-	return out, nil
-}
-
 // CheckpointAt returns the k-th checkpoint (0-based, file order) with its
 // memory image materialized, folding the delta chain from the nearest
 // keyframe — at most the writer's keyframe interval of frames is decoded
@@ -312,19 +303,19 @@ func (h *Handle) CheckpointAt(k int) (*core.Checkpoint, error) {
 		return nil, fmt.Errorf("trace: checkpoint %d out of range [0,%d)", k, len(h.idx.ckpts))
 	}
 	defer obs.TraceCkptFold.ObserveSince(time.Now())
-	j := k
-	for j > 0 && !h.idx.ckpts[j].keyframe {
-		j--
-	}
-	cks := make([]*Checkpoint, 0, k-j+1)
-	for i := j; i <= k; i++ {
-		ck, err := h.ckptAt(i)
+	var st *core.Checkpoint
+	var prev *mem.Snapshot
+	for j := h.idx.foldBase(k); j <= k; j++ {
+		ck, err := h.ckptAt(j)
 		if err != nil {
 			return nil, err
 		}
-		cks = append(cks, ck)
+		if st, err = ck.materialize(prev); err != nil {
+			return nil, err
+		}
+		prev = st.Snap
 	}
-	return foldCheckpoints(cks, len(cks)-1)
+	return st, nil
 }
 
 // Trace fully decodes the handle into a Trace — the whole-recording path
@@ -334,15 +325,20 @@ func (h *Handle) Trace() (*Trace, error) {
 	if h.loaded != nil {
 		return h.loaded, nil
 	}
-	epochs, err := h.AllEpochs()
-	if err != nil {
-		return nil, err
-	}
-	cks := make([]*Checkpoint, len(h.idx.ckpts))
-	for k := range h.idx.ckpts {
-		if cks[k], err = h.ckptAt(k); err != nil {
+	tr := &Trace{Header: h.hdr, Summary: h.sum}
+	for i := range h.idx.epochs {
+		ep, err := h.epochAt(i)
+		if err != nil {
 			return nil, err
 		}
+		tr.Epochs = append(tr.Epochs, ep)
 	}
-	return &Trace{Header: h.hdr, Epochs: epochs, Summary: h.sum, Checkpoints: cks}, nil
+	for k := range h.idx.ckpts {
+		ck, err := h.ckptAt(k)
+		if err != nil {
+			return nil, err
+		}
+		tr.Checkpoints = append(tr.Checkpoints, ck)
+	}
+	return tr, nil
 }

@@ -37,7 +37,7 @@ func TestEpochRangeBoundaries(t *testing.T) {
 	}
 
 	// The full range decodes every epoch, in sequence order, and agrees
-	// with AllEpochs.
+	// with the whole-trace decode.
 	eps, err := h.Epochs(lo, hi)
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +50,12 @@ func TestEpochRangeBoundaries(t *testing.T) {
 			t.Fatalf("epoch %d out of order: seq %d", i, ep.Epoch)
 		}
 	}
-	all, err := h.AllEpochs()
+	all, err := h.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(eps) {
-		t.Fatalf("AllEpochs = %d epochs, Epochs(%d,%d) = %d", len(all), lo, hi, len(eps))
+	if len(all.Epochs) != len(eps) {
+		t.Fatalf("Trace = %d epochs, Epochs(%d,%d) = %d", len(all.Epochs), lo, hi, len(eps))
 	}
 
 	// Requests past either end fail with the coverage diagnostic; an

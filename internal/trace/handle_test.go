@@ -92,7 +92,7 @@ func TestHandleLazySliceDecode(t *testing.T) {
 	}
 	defer h.Close()
 	if !h.Indexed() {
-		t.Fatal("v3 trace did not open through the footer")
+		t.Fatal("finished trace did not open through the footer")
 	}
 	if got := decodeProbe.epochs.Load(); got != before {
 		t.Fatalf("Open decoded %d epoch frames, want 0", got-before)
@@ -337,42 +337,115 @@ func TestAnalyzeFindingsIdenticalViaHandle(t *testing.T) {
 	}
 }
 
-// TestHandleFooterScanEquivalence: the footer-served statistics match a
-// forced scan of the same file.
+// TestHandleFooterScanEquivalence: the one reader has two index sources —
+// the footer and the sequential walk — and they must describe the same
+// trace. For every shape of file the repo writes, the handle OpenBytes
+// returns (footer-served when the file has one) and a forced scan of the
+// same bytes (OpenPrefix never consults the footer) agree on the header,
+// every frame location, the inventory counters, and the full decode.
 func TestHandleFooterScanEquivalence(t *testing.T) {
 	spec := scaledSpec(t, "streamcluster", 0.5)
-	b := recordCheckpointedBytes(t, spec, core.Options{Seed: 9, EventCap: 24}, 2, 2)
+	plain := recordCheckpointedBytes(t, spec, core.Options{Seed: 9, EventCap: 24}, 2, 2)
 
-	hdrScan, scanIx, err := scanIndex(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := OpenBytes(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.Indexed() {
-		t.Fatal("footer not used")
-	}
-	if !reflect.DeepEqual(h.Header(), hdrScan) {
-		t.Fatalf("footer header %+v != scan header %+v", h.Header(), hdrScan)
-	}
-	if h.NumEpochs() != len(scanIx.epochs) || h.NumCheckpoints() != len(scanIx.ckpts) ||
-		h.EventCount() != scanIx.events() || h.Keyframes() != scanIx.keyframes() ||
-		h.Complete() != scanIx.complete {
-		t.Fatalf("footer stats diverge from scan: %d/%d/%d/%d vs %d/%d/%d/%d",
-			h.NumEpochs(), h.NumCheckpoints(), h.EventCount(), h.Keyframes(),
-			len(scanIx.epochs), len(scanIx.ckpts), scanIx.events(), scanIx.keyframes())
-	}
-	// Frame locations agree exactly.
-	for i := range scanIx.epochs {
-		if h.idx.epochs[i] != scanIx.epochs[i] {
-			t.Fatalf("epoch ref %d: footer %+v != scan %+v", i, h.idx.epochs[i], scanIx.epochs[i])
+	compacted := func() []byte {
+		st := storeWith(t, "c", plain)
+		if _, err := st.Compact("c", 3); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i := range scanIx.ckpts {
-		if h.idx.ckpts[i] != scanIx.ckpts[i] {
-			t.Fatalf("ckpt ref %d: footer %+v != scan %+v", i, h.idx.ckpts[i], scanIx.ckpts[i])
+		b, err := os.ReadFile(st.Path("c"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return b
+	}
+	// What a flight-recorder spill writes: the frames from an interior
+	// checkpoint on, closed by a partial summary.
+	suffix := func() []byte {
+		h, err := OpenBytes(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, h.Header())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Rewrite(w, h, h.NumCheckpoints()/2); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Finish(&Summary{Partial: true}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	for _, tc := range []struct {
+		name    string
+		b       []byte
+		indexed bool
+	}{
+		{"plain", plain, true},
+		{"compressed", reencodeCompressed(t, plain), true},
+		{"compacted", compacted(), true},
+		{"flight-spill-suffix", suffix(), true},
+		{"incomplete", plain[:firstSpan(t, frameSpans(t, plain), frameSum).start], false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			foot, err := OpenBytes(tc.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := OpenPrefix(bytes.NewReader(tc.b), int64(len(tc.b)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if foot.Indexed() != tc.indexed || scan.Indexed() {
+				t.Fatalf("index sources: OpenBytes footer=%v (want %v), forced scan footer=%v",
+					foot.Indexed(), tc.indexed, scan.Indexed())
+			}
+			if foot.NumEpochs() == 0 || foot.NumCheckpoints() == 0 {
+				t.Fatalf("degenerate fixture: %d epochs, %d checkpoints", foot.NumEpochs(), foot.NumCheckpoints())
+			}
+			if !reflect.DeepEqual(foot.Header(), scan.Header()) {
+				t.Fatalf("footer header %+v != scan header %+v", foot.Header(), scan.Header())
+			}
+			// Frame locations agree exactly.
+			for i := range scan.idx.epochs {
+				if i >= len(foot.idx.epochs) || foot.idx.epochs[i] != scan.idx.epochs[i] {
+					t.Fatalf("epoch ref %d: scan has %+v, footer disagrees", i, scan.idx.epochs[i])
+				}
+			}
+			for i := range scan.idx.ckpts {
+				if i >= len(foot.idx.ckpts) || foot.idx.ckpts[i] != scan.idx.ckpts[i] {
+					t.Fatalf("ckpt ref %d: scan has %+v, footer disagrees", i, scan.idx.ckpts[i])
+				}
+			}
+			if foot.idx.sum != scan.idx.sum {
+				t.Fatalf("summary ref: footer %+v != scan %+v", foot.idx.sum, scan.idx.sum)
+			}
+			type counters struct {
+				epochs, ckpts, keyframes int
+				events                   int64
+				complete, leading        bool
+			}
+			count := func(h *Handle) counters {
+				return counters{h.NumEpochs(), h.NumCheckpoints(), h.Keyframes(),
+					h.EventCount(), h.Complete(), h.LeadingCheckpoint()}
+			}
+			if count(foot) != count(scan) || count(foot).complete != tc.indexed {
+				t.Fatalf("inventory diverges: footer %+v, scan %+v", count(foot), count(scan))
+			}
+			ft, err := foot.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stt, err := scan.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ft, stt) {
+				t.Fatal("full decode differs between the footer-served and the scan-served handle")
+			}
+		})
 	}
 }

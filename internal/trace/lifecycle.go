@@ -308,22 +308,13 @@ func (s *Store) Compact(name string, keyframeEvery int) (CompactStats, error) {
 	if err != nil {
 		return stats, err
 	}
+	defer h.Close()
 	fi, err := os.Stat(s.Path(name))
 	if err != nil {
-		h.Close()
 		return stats, err
 	}
 	stats.OldBytes = fi.Size()
-	tr, err := h.Trace()
-	h.Close()
-	if err != nil {
-		return stats, err
-	}
-	cks, err := tr.CheckpointStates()
-	if err != nil {
-		return stats, err
-	}
-	hdr := tr.Header
+	hdr := h.Header()
 	hdr.Compressed = true
 
 	tmp, err := os.CreateTemp(s.dir, name+".*.tmp")
@@ -333,30 +324,17 @@ func (s *Store) Compact(name string, keyframeEvery int) (CompactStats, error) {
 	fail := func(err error) (CompactStats, error) {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return stats, err
+		return stats, fmt.Errorf("trace: compacting %s: %w", name, err)
 	}
 	w, err := NewWriter(tmp, hdr)
 	if err != nil {
 		return fail(err)
 	}
 	w.SetKeyframeEvery(keyframeEvery)
-	ci := 0
-	for _, ep := range tr.Epochs {
-		for ci < len(cks) && cks[ci].Epoch == ep.Epoch {
-			if err := w.WriteCheckpoint(cks[ci]); err != nil {
-				return fail(err)
-			}
-			ci++
-		}
-		if err := w.WriteEpoch(ep); err != nil {
-			return fail(err)
-		}
+	if err := Rewrite(w, h, -1); err != nil {
+		return fail(err)
 	}
-	if ci != len(cks) {
-		return fail(fmt.Errorf("trace: compacting %s: checkpoint at epoch %d has no matching epoch frame",
-			name, cks[ci].Epoch))
-	}
-	sum := tr.Summary
+	sum := h.Summary()
 	if sum == nil {
 		sum = &Summary{Partial: true}
 	}
@@ -382,7 +360,7 @@ func (s *Store) Compact(name string, keyframeEvery int) (CompactStats, error) {
 	}
 	s.invalidate(name)
 	stats.NewBytes = nfi.Size()
-	stats.Epochs = len(tr.Epochs)
-	stats.Checkpoints = len(cks)
+	stats.Epochs = w.Epochs()
+	stats.Checkpoints = w.Ckpts()
 	return stats, nil
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"container/list"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -113,7 +112,7 @@ type Entry struct {
 	Epochs int
 	Events int64
 	// Checkpoints counts the trace's checkpoint frames; Keyframes counts
-	// those carrying a full memory image (format v3 flags).
+	// those carrying a full memory image.
 	Checkpoints int
 	Keyframes   int
 	// Size is the file size in bytes.
@@ -121,7 +120,7 @@ type Entry struct {
 	// Complete reports whether the trace ends with its summary frame (false
 	// for a recording that was cut off).
 	Complete bool
-	// Indexed reports whether the statistics came from the v3 index footer
+	// Indexed reports whether the statistics came from the index footer
 	// (one footer read) rather than a whole-file scan.
 	Indexed bool
 	// Err is set when the file could not be opened (torn, corrupt, or
@@ -429,27 +428,23 @@ func (s *Store) Save(name string, tr *Trace) (string, error) {
 }
 
 // contentMark reads the cheap content fingerprint of an open trace file:
-// the header frame's stored CRC plus a tail sample. For indexed (v3)
-// files the tail is the 8 bytes preceding the trailer — the end of the
-// index frame, whose CRC covers every other frame's CRC, so any content
-// change anywhere in the file changes the mark. For unindexed files the
+// the header frame's CRC plus a tail sample. For indexed files the tail is
+// the 8 bytes preceding the trailer — the end of the index frame, whose
+// CRC covers every other frame's CRC, so any content change anywhere in
+// the file changes the mark. For unindexed files the
 // tail is the file's final bytes (the last frame's CRC lives there). A
 // rewrite landing within the filesystem's mtime granularity still changes
 // the mark unless it is byte-identical at both ends. The mark is read
 // through the handle's own descriptor — never by path — so a concurrent
 // rename-replace cannot key one file's frames under another file's mark.
-// Three small reads — no decode, no full-file IO.
+// A few small reads — no decode, no full-file IO.
 func contentMark(f io.ReaderAt, size int64) (contentKey, error) {
 	var key contentKey
-	payloadOff, plen, err := locateHeaderFrame(f)
+	hdr, _, err := frameAt(f, int64(len(Magic)), size)
 	if err != nil {
-		return key, err
+		return key, fmt.Errorf("trace: reading header frame: %w", err)
 	}
-	var crcb [4]byte
-	if _, err := f.ReadAt(crcb[:], payloadOff+int64(plen)); err != nil {
-		return key, err
-	}
-	key.head = binary.LittleEndian.Uint32(crcb[:])
+	key.head = hdr.crc
 	tailOff := size - int64(len(key.tail))
 	if size >= indexTrailerLen+int64(len(key.tail)) {
 		var trailer [indexTrailerLen]byte
@@ -476,7 +471,7 @@ func contentMark(f io.ReaderAt, size int64) (contentKey, error) {
 }
 
 // Open returns a Handle on the named trace: one footer read for an indexed
-// (v3) file, one CRC-checked scan otherwise, no epoch decode either way.
+// file, one CRC-checked scan otherwise, no epoch decode either way.
 // The handle shares the store's frame cache with every other handle on the
 // same content; close it when done (file-backed handles hold a
 // descriptor).
@@ -484,26 +479,19 @@ func (s *Store) Open(name string) (*Handle, error) {
 	if err := validateName(name); err != nil {
 		return nil, err
 	}
-	f, err := os.Open(s.Path(name))
+	f, size, err := openSized(s.Path(name))
 	if err != nil {
 		return nil, fmt.Errorf("trace: no trace %q in %s: %w", name, s.dir, err)
 	}
-	fi, err := f.Stat()
+	h, err := open(f, size, false)
+	if err == nil {
+		h.mark, err = contentMark(f, size)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	mark, err := contentMark(f, fi.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	h, err := newFileHandle(f, fi.Size())
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	h.st, h.name, h.mark = s, name, mark
+	h.f, h.st, h.name = f, s, name
 	return h, nil
 }
 
@@ -524,16 +512,12 @@ func (s *Store) Load(name string) (*Trace, error) {
 // or foreign file degrades to an entry carrying the open error.
 func (s *Store) scanEntry(name string) Entry {
 	path := s.Path(name)
-	f, err := os.Open(path)
+	f, size, err := openSized(path)
 	if err != nil {
 		return Entry{Name: name, Path: path, Err: err}
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return Entry{Name: name, Path: path, Err: err}
-	}
-	hdr, ix, err := openFileIndex(f, fi.Size())
+	hdr, ix, err := openIndex(f, size, false)
 	if err != nil {
 		return Entry{Name: name, Path: path, Err: err}
 	}
@@ -570,12 +554,12 @@ func (s *Store) Entry(name string) (Entry, error) {
 	return e, nil
 }
 
-// List enumerates every trace in the store, sorted by name. Indexed (v3)
-// files cost one footer read each; older files are scanned frame by frame
-// (CRC-checked, statistics from frame headers). Nothing is decoded and the
-// replay cache is not populated. In-progress recordings (".partial" files)
-// and foreign files are skipped; torn traces degrade to entries carrying
-// their error.
+// List enumerates every trace in the store, sorted by name. Indexed files
+// cost one footer read each; files without a usable footer are scanned
+// frame by frame (CRC-checked, statistics from frame headers). Nothing is
+// decoded and the replay cache is not populated. In-progress recordings
+// (".partial" files) and foreign files are skipped; torn traces degrade to
+// entries carrying their error.
 func (s *Store) List() ([]Entry, error) {
 	des, err := os.ReadDir(s.dir)
 	if err != nil {

@@ -1,68 +1,73 @@
 // Package trace persists iReplayer recordings: the per-thread and
 // per-variable event lists of §3.2, which in the paper live only in the
-// recording process, serialized to a compact versioned binary format so an
-// execution can be recorded once and replayed identically many times,
-// offline and in parallel.
+// recording process, serialized to a compact binary format so an execution
+// can be recorded once and replayed identically many times, offline and in
+// parallel.
 //
-// The on-disk layout is a magic string followed by self-delimiting,
+// There is one format (header version 4) and one reader (Handle). The
+// on-disk layout is a magic string followed by self-delimiting,
 // CRC-checked frames:
 //
-//	file    := magic frame* [index-frame trailer]
+//	file    := magic header-frame (checkpoint-frame | epoch-frame)*
+//	           [summary-frame [index-frame trailer]]
 //	magic   := "IRTRACE1" (8 bytes)
 //	frame   := kind:1 len:uvarint payload:len crc32(payload):4 (LE, IEEE)
 //	kinds   := 1 header | 2 epoch | 3 summary (end marker) | 4 checkpoint
-//	           | 5 index (footer, format v3)
+//	           | 5 index (footer); bit 0x80 marks a deflated payload
 //	trailer := indexOff:8 (LE) "IRX3"
 //
 // The header frame carries the format version, an application label, the
-// recorded module's fingerprint (tir.Fingerprint), and the recording
-// options that must match at replay time. Each epoch frame is one
-// record.EpochLog: per-thread event lists varint-encoded with per-field
-// delta compression (variable addresses, positions, and auxiliary values
-// change slowly within a thread's list), then per-variable order lists as
-// thread-ID deltas. The summary frame stores the recorded exit value and
-// program output, giving offline verification something to compare against;
-// a trace without one (recorder killed mid-run) still loads, up to its last
-// intact frame. Frames after the summary are a corruption error.
+// recorded module's fingerprint (tir.Fingerprint), the recording options
+// that must match at replay time, and a flags field whose compressed bit
+// declares a trace written with compression (Header.Compressed — the
+// store's hot/cold signal). A header declaring any other version is
+// refused.
 //
-// Format v2 adds the optional checkpoint frame (core.Checkpoint serialized):
-// the epoch-boundary state the runtime already captures — memory snapshot,
-// allocator metadata, vCPU contexts, shadow synchronization state, VFS
-// state — persisted at a configurable epoch interval. A checkpoint frame
-// precedes the epoch it begins, and its memory image is delta/zero-run
-// encoded against the previous checkpoint's (Trace.CheckpointStates folds
-// the chain back). Checkpoints split a long trace into independently
-// replayable segments (exec.go); v1 traces, which have none, still load.
+// Each epoch frame is one record.EpochLog: per-thread event lists
+// varint-encoded with per-field delta compression (variable addresses,
+// positions, and auxiliary values change slowly within a thread's list),
+// then per-variable order lists as thread-ID deltas.
 //
-// Format v3 adds random access: the writer closes the file with an index
-// footer frame (byte offsets, payload lengths, and CRCs of every epoch and
-// checkpoint frame, plus per-frame statistics) located by a fixed trailer,
-// so inventory scans and single-trace inspection cost one footer read, and
-// a Handle can decode exactly the epoch range or checkpoint a consumer
-// asks for (handle.go). Checkpoint frames gain a flags field whose
-// keyframe bit marks full-image frames (written every K checkpoints,
-// Writer.SetKeyframeEvery), bounding the fold to reach checkpoint k at K
-// deltas. A damaged index region degrades the file to the v2 scan path; an
-// index that parses but lies about the file is hard corruption.
+// A checkpoint frame is a serialized core.Checkpoint: the epoch-boundary
+// state the runtime already captures — memory snapshot, allocator
+// metadata, vCPU contexts, shadow synchronization state, VFS state —
+// persisted at a configurable epoch interval. It precedes the epoch it
+// begins, and its memory image is delta/zero-run encoded against the
+// previous checkpoint's, except in keyframes (the flags field's keyframe
+// bit, written every K checkpoints, Writer.SetKeyframeEvery), which store
+// the full image and bound the fold to reach checkpoint k at K deltas.
+// Checkpoints split a long trace into independently replayable segments
+// (exec.go). A trace may begin with a keyframe checkpoint at its first
+// epoch frame: such a suffix trace replays from the checkpoint instead of
+// program start, on every replay and analysis path.
 //
-// Format v4 adds seekable per-frame compression and suffix recordings.
+// The summary frame stores the recorded exit value and program output,
+// giving offline verification something to compare against; its flags
+// field's partial bit (Summary.Partial) marks a recording that stopped
+// before program end — a flight-recorder spill — whose exit and output are
+// not replay oracles. A trace without a summary (recorder killed mid-run)
+// still opens, up to its last intact frame. After the summary the writer
+// closes the file with the index footer frame (byte offsets, payload
+// lengths, and CRCs of every epoch and checkpoint frame, plus per-frame
+// statistics) located by a fixed trailer, so inventory scans and
+// single-trace inspection cost one footer read, and a Handle can decode
+// exactly the epoch range or checkpoint a consumer asks for. A damaged
+// index region degrades the file to a sequential scan; an index that
+// parses but lies about the file is hard corruption; anything else after
+// the summary is a corruption error (index.go).
+//
 // A compressed epoch or checkpoint frame carries the frameCompressed bit
 // in its kind byte and stores a raw-length varint plus a deflate stream;
 // CRCs and index entries cover the stored bytes, so random access through
 // the footer is unchanged and decompression runs only after the checksum
-// passes (compress.go). The header gains a flags field whose compressed
-// bit declares a trace written with compression (Header.Compressed — the
-// store's hot/cold signal), and the summary gains a flags field whose
-// partial bit (Summary.Partial) marks a recording that stopped before
-// program end — a flight-recorder spill — whose exit and output are not
-// replay oracles. A trace may begin with a keyframe checkpoint at its
-// first epoch frame: such a suffix trace replays from the checkpoint
-// instead of program start, on every replay and analysis path (exec.go).
+// passes (compress.go).
 //
 // Writer streams epochs as the runtime flushes them (Writer.Sink plugs
 // directly into core.Options.TraceSink, Writer.CheckpointSink into
-// core.Options.CheckpointSink); Reader validates and decodes. Store manages
-// a directory of traces indexed by module fingerprint with a byte-bounded
+// core.Options.CheckpointSink); Handle validates and decodes — every way
+// of opening a trace (OpenFile, OpenBytes, OpenPrefix, Store.Open, Decode)
+// goes through the same index and the same frame checks. Store manages a
+// directory of traces indexed by module fingerprint with a byte-bounded
 // frame-granular decode cache, and exec.go is the one replay executor every
 // offline replay and analysis of a stored trace — whole or segmented, one
 // job or a fan-out across the worker pool — is a projection of.
@@ -71,6 +76,7 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/mem"
@@ -82,15 +88,9 @@ import (
 // version covers compatible revisions).
 const Magic = "IRTRACE1"
 
-// Version is the current header version. Version 2 added checkpoint
-// frames; version 3 added the index footer frame, the checkpoint flags
-// field (keyframe bit), and the keyframe interval; version 4 added
-// per-frame compression, header flags, and summary flags. v1–v3 traces
-// load unchanged through their original paths.
+// Version is the one header version this package writes and reads; a
+// header declaring any other is refused at open.
 const Version = 4
-
-// MinVersion is the oldest header version the reader accepts.
-const MinVersion = 1
 
 // Frame kinds.
 const (
@@ -125,9 +125,8 @@ type Header struct {
 	// recorder exposes, stored so replay can rebuild the exact module
 	// instead of searching for a fingerprint match.
 	AppIters int
-	// Compressed declares a trace written with per-frame compression
-	// (format v4): epoch and checkpoint bodies that shrink are stored
-	// deflated. Set it before NewWriter to enable compression; on decode
+	// Compressed declares a trace written with per-frame compression:
+	// epoch and checkpoint bodies that shrink are stored deflated. Set it before NewWriter to enable compression; on decode
 	// it is the store's cheap hot/cold classification — no frame needs to
 	// be touched to know a trace has been compacted.
 	Compressed bool
@@ -138,7 +137,7 @@ type Header struct {
 type Summary struct {
 	Exit   uint64
 	Output string
-	// Partial (format v4) marks a recording that ended before the program
+	// Partial marks a recording that ended before the program
 	// did — a flight-recorder spill on demand or signal, or a salvaged
 	// crash ring. Exit and Output are then not oracles: replay consumes
 	// the recorded events and verifies schedule reproduction, but skips
@@ -157,8 +156,7 @@ type Checkpoint struct {
 	State *core.Checkpoint
 	// Keyframe marks a frame whose memory delta was encoded against the
 	// empty image (a full snapshot): the fold base readers restart from.
-	// The writer emits one every K checkpoints (Writer.SetKeyframeEvery);
-	// in v2 traces only the chain's first checkpoint is one.
+	// The writer emits one every K checkpoints (Writer.SetKeyframeEvery).
 	Keyframe bool
 	// memDelta is the raw delta/zero-run encoding of the memory image
 	// against the previous checkpoint's (the empty image for keyframes).
@@ -174,62 +172,42 @@ type Trace struct {
 	Epochs  []*record.EpochLog
 	Summary *Summary
 	// Checkpoints are the trace's checkpoint frames in file order (empty for
-	// v1 traces or recordings without checkpointing).
+	// recordings without checkpointing).
 	Checkpoints []*Checkpoint
 }
 
+// materialize applies c's memory delta to prev — the previous checkpoint's
+// image, ignored by keyframes, which restart from the empty one — and
+// returns the checkpoint with its image filled in: one step of every fold.
+// The result is fresh except for the shared immutable State fields.
+func (c *Checkpoint) materialize(prev *mem.Snapshot) (*core.Checkpoint, error) {
+	if c.Keyframe {
+		prev = nil
+	}
+	snap, err := mem.ApplySnapshotDelta(prev, c.memDelta)
+	if err != nil {
+		return nil, fmt.Errorf("trace: checkpoint at epoch %d: %w", c.Epoch(), err)
+	}
+	st := *c.State
+	st.Snap = snap
+	return &st, nil
+}
+
 // CheckpointStates folds the delta chain and returns every checkpoint with
-// its full memory image materialized. Keyframes restart the fold from the
-// empty image. The returned checkpoints (and their snapshots) are fresh
-// per call except for the shared immutable State fields; callers must not
-// mutate them.
+// its full memory image materialized — all of them alive at once, which is
+// what makes it the tests' reference fold and nothing's production path.
+// Callers must not mutate the results.
 func (t *Trace) CheckpointStates() ([]*core.Checkpoint, error) {
 	var prev *mem.Snapshot
 	out := make([]*core.Checkpoint, len(t.Checkpoints))
 	for i, ck := range t.Checkpoints {
-		base := prev
-		if ck.Keyframe {
-			base = nil
-		}
-		snap, err := mem.ApplySnapshotDelta(base, ck.memDelta)
+		st, err := ck.materialize(prev)
 		if err != nil {
-			return nil, fmt.Errorf("trace: checkpoint %d (epoch %d): %w", i, ck.Epoch(), err)
+			return nil, err
 		}
-		st := *ck.State
-		st.Snap = snap
-		out[i] = &st
-		prev = snap
+		out[i], prev = st, st.Snap
 	}
 	return out, nil
-}
-
-// foldCheckpoints folds the delta chain from the nearest keyframe at or
-// before k and returns checkpoint k with its memory image materialized —
-// the bounded-work path behind Handle.CheckpointAt: at most the keyframe
-// interval's worth of deltas are applied.
-func foldCheckpoints(cks []*Checkpoint, k int) (*core.Checkpoint, error) {
-	if k < 0 || k >= len(cks) {
-		return nil, fmt.Errorf("trace: checkpoint %d out of range [0,%d)", k, len(cks))
-	}
-	j := k
-	for j > 0 && !cks[j].Keyframe {
-		j--
-	}
-	var prev *mem.Snapshot
-	for i := j; i <= k; i++ {
-		base := prev
-		if cks[i].Keyframe {
-			base = nil
-		}
-		snap, err := mem.ApplySnapshotDelta(base, cks[i].memDelta)
-		if err != nil {
-			return nil, fmt.Errorf("trace: checkpoint %d (epoch %d): %w", i, cks[i].Epoch(), err)
-		}
-		prev = snap
-	}
-	st := *cks[k].State
-	st.Snap = prev
-	return &st, nil
 }
 
 // EventCount sums events across all epochs.
@@ -281,7 +259,73 @@ func Encode(tr *Trace) ([]byte, error) {
 
 // Decode deserializes a whole trace produced by Encode or a Writer.
 func Decode(b []byte) (*Trace, error) {
-	return ReadTrace(bytes.NewReader(b))
+	h, err := OpenBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	return h.Trace()
+}
+
+// Rewrite streams h's frames into w — the re-encode behind Store.Compact
+// and the flight recorder's spill, so w's compression and keyframe
+// interval apply. fromCk < 0 copies the whole trace; otherwise the copy
+// starts at checkpoint fromCk (0-based, file order) and the epoch it
+// begins, dropping everything before, which makes the output a suffix
+// trace. Memory images come from one running fold: each checkpoint frame
+// is decoded once and at most two images are alive, whatever the trace's
+// length. (Encode keeps its own loop because its contract is different:
+// it re-emits stored deltas verbatim to stay byte-canonical.) The caller
+// finishes w.
+func Rewrite(w *Writer, h *Handle, fromCk int) error {
+	ix := h.idx
+	if fromCk >= len(ix.ckpts) {
+		return fmt.Errorf("trace: checkpoint %d out of range [0,%d)", fromCk, len(ix.ckpts))
+	}
+	ei, ci := 0, 0
+	if fromCk >= 0 {
+		ei = sort.Search(len(ix.epochs), func(i int) bool { return ix.epochs[i].seq >= ix.ckpts[fromCk].epoch })
+		ci = ix.foldBase(fromCk)
+	}
+	var prev *mem.Snapshot
+	fold := func(k int) (*core.Checkpoint, error) {
+		ck, err := h.ckptAt(k)
+		if err != nil {
+			return nil, err
+		}
+		st, err := ck.materialize(prev)
+		if err != nil {
+			return nil, err
+		}
+		prev = st.Snap
+		return st, nil
+	}
+	for ; ci < fromCk; ci++ { // the run-up from the fold base: applied, not copied
+		if _, err := fold(ci); err != nil {
+			return err
+		}
+	}
+	for ; ei < len(ix.epochs); ei++ {
+		for ; ci < len(ix.ckpts) && ix.ckpts[ci].epoch == ix.epochs[ei].seq; ci++ {
+			st, err := fold(ci)
+			if err != nil {
+				return err
+			}
+			if err := w.WriteCheckpoint(st); err != nil {
+				return err
+			}
+		}
+		ep, err := h.epochAt(ei)
+		if err != nil {
+			return err
+		}
+		if err := w.WriteEpoch(ep); err != nil {
+			return err
+		}
+	}
+	if ci != len(ix.ckpts) {
+		return fmt.Errorf("trace: checkpoint at epoch %d has no matching epoch frame", ix.ckpts[ci].epoch)
+	}
+	return nil
 }
 
 func validateName(name string) error {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -174,38 +173,6 @@ func TestTruncationAtFrameBoundaryIsValid(t *testing.T) {
 	}
 	if len(got.Epochs) != 1 || got.Summary != nil {
 		t.Fatalf("prefix decoded to %d epochs, summary=%v", len(got.Epochs), got.Summary)
-	}
-}
-
-// TestReaderStreams: Next yields epochs one at a time and surfaces the
-// summary afterwards.
-func TestReaderStreams(t *testing.T) {
-	spec := scaledSpec(t, "pfscan", 0.2)
-	tr := recordTrace(t, spec, core.Options{Seed: 5, EventCap: 48})
-	b, err := Encode(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		_, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != len(tr.Epochs) {
-		t.Fatalf("streamed %d epochs, want %d", n, len(tr.Epochs))
-	}
-	if r.Summary() == nil || r.Summary().Exit != tr.Summary.Exit {
-		t.Fatalf("summary not surfaced: %+v", r.Summary())
 	}
 }
 

@@ -21,18 +21,13 @@ const DefaultKeyframeEvery = 8
 // Writer streams a trace: header first, then one frame per epoch as the
 // runtime flushes them — interleaved with checkpoint frames when the
 // recording checkpoints — then the summary end marker, the index footer
-// frame, and its trailer (format v3). It buffers only one frame at a time,
-// so recording overhead stays proportional to epoch size, not trace size.
+// frame, and its trailer. It buffers only one frame at a time, so recording
+// overhead stays proportional to epoch size, not trace size.
 type Writer struct {
 	w        io.Writer
 	err      error
 	finished bool
 	scratch  []byte
-
-	// ver is the header version being written: Version for NewWriter,
-	// lowered only by the in-package legacy constructor tests use to
-	// synthesize v1/v2 corpora.
-	ver int
 
 	// off is the byte offset the next frame lands at; lastCRC and lastPlen
 	// describe the last frame written (its stored payload, compressed or
@@ -43,7 +38,7 @@ type Writer struct {
 	index    fileIndex
 
 	// compress enables per-frame deflate of epoch and checkpoint bodies
-	// (format v4, Header.Compressed); z is the reused compressor.
+	// (Header.Compressed); z is the reused compressor.
 	compress bool
 	z        deflater
 
@@ -61,20 +56,12 @@ type Writer struct {
 // NewWriter writes the magic and header frame and returns a streaming
 // writer.
 func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
-	return newWriterVersion(w, hdr, Version)
-}
-
-// newWriterVersion is NewWriter with an explicit header version — the
-// back-compat corpora in the tests are written through it (v1: no
-// checkpoints or index; v2: unflagged checkpoint frames, no index).
-func newWriterVersion(w io.Writer, hdr Header, ver int) (*Writer, error) {
-	tw := &Writer{w: w, ver: ver, keyEvery: DefaultKeyframeEvery,
-		compress: hdr.Compressed && ver >= 4}
+	tw := &Writer{w: w, keyEvery: DefaultKeyframeEvery, compress: hdr.Compressed}
 	if _, err := io.WriteString(w, Magic); err != nil {
 		return nil, fmt.Errorf("trace: writing magic: %w", err)
 	}
 	tw.off = int64(len(Magic))
-	if err := tw.frame(frameHeader, appendHeader(nil, hdr, ver)); err != nil {
+	if err := tw.frame(frameHeader, appendHeader(nil, hdr)); err != nil {
 		return nil, err
 	}
 	return tw, nil
@@ -164,10 +151,6 @@ func (tw *Writer) WriteCheckpoint(ck *core.Checkpoint) error {
 		return fmt.Errorf("trace: cannot chain a fresh checkpoint after a re-emitted delta")
 	}
 	keyframe := len(tw.index.ckpts)%tw.keyEvery == 0
-	if tw.ver < 3 {
-		// Legacy chains have exactly one implicit keyframe: the first frame.
-		keyframe = len(tw.index.ckpts) == 0
-	}
 	base := tw.prevSnap
 	if keyframe {
 		base = nil
@@ -176,7 +159,7 @@ func (tw *Writer) WriteCheckpoint(ck *core.Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	payload, err := appendCheckpoint(nil, ck, delta, keyframe, tw.ver)
+	payload, err := appendCheckpoint(nil, ck, delta, keyframe)
 	if err != nil {
 		return err
 	}
@@ -190,7 +173,7 @@ func (tw *Writer) writeRawCheckpoint(ck *Checkpoint) error {
 	if tw.finished {
 		return fmt.Errorf("trace: WriteCheckpoint after Finish")
 	}
-	payload, err := appendCheckpoint(nil, ck.State, ck.memDelta, ck.Keyframe, tw.ver)
+	payload, err := appendCheckpoint(nil, ck.State, ck.memDelta, ck.Keyframe)
 	if err != nil {
 		return err
 	}
@@ -230,22 +213,18 @@ func (tw *Writer) Ckpts() int { return len(tw.index.ckpts) }
 func (tw *Writer) Keyframes() int { return tw.index.keyframes() }
 
 // Finish writes the summary end marker (an empty summary when sum is nil),
-// then — for the current format version — the index footer frame and its
-// trailer, and seals the writer. It does not close the underlying
-// io.Writer.
+// then the index footer frame and its trailer, and seals the writer. It
+// does not close the underlying io.Writer.
 func (tw *Writer) Finish(sum *Summary) error {
 	if tw.finished {
 		return tw.err
 	}
 	sumOff := tw.off
-	sumPayload := appendSummary(nil, sum, tw.ver)
+	sumPayload := appendSummary(nil, sum)
 	if err := tw.frame(frameSum, sumPayload); err != nil {
 		return err
 	}
 	tw.finished = true
-	if tw.ver < 3 {
-		return nil
-	}
 	tw.index.sum = frameRef{off: sumOff, plen: len(sumPayload), crc: tw.lastCRC}
 	indexOff := tw.off
 	if err := tw.indexFrame(appendIndex(nil, &tw.index)); err != nil {
