@@ -344,8 +344,13 @@ func (rt *Runtime) armSegmentEnd(end *Checkpoint) error {
 
 // verifySegmentEnd is the stitching check, run after a matched segment
 // replay while the world is still quiescent: the end memory image must
-// byte-match the next checkpoint, and the segment must have produced exactly
-// the output the recording attributed to it.
+// byte-match the next checkpoint over the whole address space, and the
+// segment must have produced exactly the output the recording attributed to
+// it. The snapshot copies the pages the segment stored to and shares the rest
+// with the start checkpoint, which the end checkpoint was folded from; Equal
+// byte-compares every page the two tables do not hold by the same pointer, so
+// no page is ever assumed clean — a shared page is equal because pages are
+// immutable.
 func (rt *Runtime) verifySegmentEnd() error {
 	end := rt.segEnd
 	if end == nil {

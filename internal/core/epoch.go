@@ -566,6 +566,7 @@ func (rt *Runtime) takeCheckpoint() {
 		threads:   make(map[int32]threadCkpt),
 		varState:  make(map[int32]varCkpt),
 	}
+	rt.stats.CheckpointPages += int64(ck.snap.PagesCopied())
 	rt.mu.Lock()
 	threads := append([]*Thread(nil), rt.threads...)
 	shadows := rt.shadowList()

@@ -155,6 +155,10 @@ type Stats struct {
 	// QuiescenceNS is the cumulative time the coordinator spent waiting for
 	// the world to quiesce at epoch boundaries (including replay retries).
 	QuiescenceNS int64
+	// CheckpointPages is the number of 4 KiB memory pages the epoch-boundary
+	// snapshots copied, summed over the run: the pages each epoch stored to,
+	// out of the whole address space a flat copy would have moved.
+	CheckpointPages int64
 }
 
 // Runtime executes one TIR program under iReplayer semantics.

@@ -3,17 +3,33 @@
 // slots.
 //
 // It stands in for the writable memory of the native process that iReplayer
-// checkpoints by parsing /proc/self/maps (§3.1). Because every segment is an
-// ordinary byte slice, checkpointing is a copy, rollback is a copy back, and
-// the identity check of Table 1 is a byte-level diff of heap images.
+// checkpoints by parsing /proc/self/maps (§3.1). Live memory is three flat
+// byte slices, so a guest load is one bounds check and one slice expression.
+// Checkpoints are not flat: a Snapshot (snapshot.go) is a table of immutable
+// 4 KiB pages, and the address space keeps one dirty flag per page, set by
+// every guest store. Taking a snapshot copies the pages stored to since the
+// previous one and shares every other page with it; rollback copies back the
+// pages that are dirty or whose page differs; the checkpoint codec, the fold
+// and the stitching check skip pages two snapshots share by pointer. All of
+// them cost what an epoch wrote, not the size of the address space. The
+// identity check of Table 1 is still a byte-level diff of flat heap images
+// (HeapImage).
+//
+// Every store reaches the slices through one function, storeWindow, which
+// marks the pages it hands out; there is no other way to write guest memory,
+// so no writer can forget the mark.
 //
 // Concurrent unsynchronized access from multiple vthreads is intentional:
 // races in the program under test manifest as real interleavings on these
 // slices, which is what the divergence-search replay machinery (§3.5) must
-// cope with.
+// cope with. The dirty flags are the exception: they are atomics, written
+// idempotently, so two threads storing to one page never lose a mark.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Segment base addresses. Virtual addresses are uint64 and never collide
 // across segments; address 0 is unmapped so that null dereferences fault.
@@ -83,6 +99,12 @@ type Memory struct {
 	heap    []byte
 	stacks  []byte // MaxThreads slots of StackSlot bytes each
 
+	// dirty holds one flag per page of each segment (globals, heap, stacks);
+	// base is the snapshot live memory equals on every page whose flag is
+	// clear. See snapshot.go for the invariant and who maintains it.
+	dirty [numSegs][]atomic.Uint32
+	base  *Snapshot
+
 	watches  [MaxWatchpoints]Watchpoint
 	nwatches int
 	onWatch  func(WatchHit)
@@ -93,12 +115,19 @@ func New(cfg Config) *Memory {
 	if cfg.GlobalSize <= 0 || cfg.HeapSize <= 0 || cfg.StackSlot <= 0 || cfg.MaxThreads <= 0 {
 		panic("mem: invalid config")
 	}
-	return &Memory{
+	m := &Memory{
 		cfg:     cfg,
 		globals: make([]byte, cfg.GlobalSize),
 		heap:    make([]byte, cfg.HeapSize),
 		stacks:  make([]byte, cfg.StackSlot*int64(cfg.MaxThreads)),
 	}
+	// Fresh memory is all zero, which is what the zero snapshot of the same
+	// geometry holds: every page starts clean against it.
+	m.base = zeroSnapshot([numSegs]int{len(m.globals), len(m.heap), len(m.stacks)})
+	for i, n := range m.base.lens {
+		m.dirty[i] = make([]atomic.Uint32, pagesFor(n))
+	}
+	return m
 }
 
 // Config returns the sizing used to build this address space.
@@ -117,8 +146,8 @@ func (m *Memory) StackRange(slot int) (base uint64, size int64) {
 	return StackBase + uint64(int64(slot)*m.cfg.StackSlot), m.cfg.StackSlot
 }
 
-// resolve maps addr to a backing slice window of length size.
-func (m *Memory) resolve(addr uint64, size int, op string) ([]byte, error) {
+// loadWindow maps addr to a read-only backing slice window of length size.
+func (m *Memory) loadWindow(addr uint64, size int, op string) ([]byte, error) {
 	switch {
 	case addr >= GlobalBase && addr+uint64(size) <= GlobalBase+uint64(len(m.globals)):
 		off := addr - GlobalBase
@@ -133,15 +162,51 @@ func (m *Memory) resolve(addr uint64, size int, op string) ([]byte, error) {
 	return nil, &Fault{Addr: addr, Size: size, Op: op}
 }
 
+// storeWindow maps addr to a writable backing slice window of length size
+// and marks every page the window spans dirty. It is the only function that
+// hands out a writable view of guest memory.
+func (m *Memory) storeWindow(addr uint64, size int) ([]byte, error) {
+	switch {
+	case addr >= GlobalBase && addr+uint64(size) <= GlobalBase+uint64(len(m.globals)):
+		off := addr - GlobalBase
+		markDirty(m.dirty[segGlobals], off, size)
+		return m.globals[off : off+uint64(size)], nil
+	case addr >= HeapBase && addr+uint64(size) <= HeapBase+uint64(len(m.heap)):
+		off := addr - HeapBase
+		markDirty(m.dirty[segHeap], off, size)
+		return m.heap[off : off+uint64(size)], nil
+	case addr >= StackBase && addr+uint64(size) <= StackBase+uint64(len(m.stacks)):
+		off := addr - StackBase
+		markDirty(m.dirty[segStacks], off, size)
+		return m.stacks[off : off+uint64(size)], nil
+	}
+	return nil, &Fault{Addr: addr, Size: size, Op: "store"}
+}
+
+// markDirty flags the pages covering [off, off+size). Several vthreads store
+// at once, so a flag is only ever written with the one value, and only when
+// clear: after a page's first store in an epoch the mark is a plain load.
+// Flags are read and cleared at quiescent boundaries only (Snapshot, Restore).
+func markDirty(flags []atomic.Uint32, off uint64, size int) {
+	if size <= 0 {
+		return
+	}
+	for p, last := off>>pageShift, (off+uint64(size)-1)>>pageShift; p <= last; p++ {
+		if flags[p].Load() == 0 {
+			flags[p].Store(1)
+		}
+	}
+}
+
 // Valid reports whether [addr, addr+size) is mapped.
 func (m *Memory) Valid(addr uint64, size int) bool {
-	_, err := m.resolve(addr, size, "probe")
+	_, err := m.loadWindow(addr, size, "probe")
 	return err == nil
 }
 
 // Load8 reads one byte.
 func (m *Memory) Load8(addr uint64) (uint64, error) {
-	w, err := m.resolve(addr, 1, "load")
+	w, err := m.loadWindow(addr, 1, "load")
 	if err != nil {
 		return 0, err
 	}
@@ -150,7 +215,7 @@ func (m *Memory) Load8(addr uint64) (uint64, error) {
 
 // Load64 reads a little-endian 64-bit word.
 func (m *Memory) Load64(addr uint64) (uint64, error) {
-	w, err := m.resolve(addr, 8, "load")
+	w, err := m.loadWindow(addr, 8, "load")
 	if err != nil {
 		return 0, err
 	}
@@ -162,7 +227,7 @@ func (m *Memory) Load64(addr uint64) (uint64, error) {
 
 // Store8 writes one byte.
 func (m *Memory) Store8(addr uint64, v uint64) error {
-	w, err := m.resolve(addr, 1, "store")
+	w, err := m.storeWindow(addr, 1)
 	if err != nil {
 		return err
 	}
@@ -173,7 +238,7 @@ func (m *Memory) Store8(addr uint64, v uint64) error {
 
 // Store64 writes a little-endian 64-bit word.
 func (m *Memory) Store64(addr uint64, v uint64) error {
-	w, err := m.resolve(addr, 8, "store")
+	w, err := m.storeWindow(addr, 8)
 	if err != nil {
 		return err
 	}
@@ -189,16 +254,9 @@ func (m *Memory) Store64(addr uint64, v uint64) error {
 	return nil
 }
 
-// Bytes returns a read-write window over [addr, addr+size). Callers that
-// mutate through the window must invoke NoteStore themselves if watchpoint
-// semantics are required.
-func (m *Memory) Bytes(addr uint64, size int) ([]byte, error) {
-	return m.resolve(addr, size, "access")
-}
-
 // ReadBytes copies out of memory.
 func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
-	w, err := m.resolve(addr, n, "load")
+	w, err := m.loadWindow(addr, n, "load")
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +267,7 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 
 // WriteBytes copies into memory.
 func (m *Memory) WriteBytes(addr uint64, b []byte) error {
-	w, err := m.resolve(addr, len(b), "store")
+	w, err := m.storeWindow(addr, len(b))
 	if err != nil {
 		return err
 	}
@@ -220,7 +278,7 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 
 // Memset fills [addr, addr+n) with v.
 func (m *Memory) Memset(addr uint64, v byte, n int) error {
-	w, err := m.resolve(addr, n, "store")
+	w, err := m.storeWindow(addr, n)
 	if err != nil {
 		return err
 	}
@@ -233,11 +291,11 @@ func (m *Memory) Memset(addr uint64, v byte, n int) error {
 
 // Memcpy copies n bytes from src to dst within the address space.
 func (m *Memory) Memcpy(dst, src uint64, n int) error {
-	s, err := m.resolve(src, n, "load")
+	s, err := m.loadWindow(src, n, "load")
 	if err != nil {
 		return err
 	}
-	d, err := m.resolve(dst, n, "store")
+	d, err := m.storeWindow(dst, n)
 	if err != nil {
 		return err
 	}
@@ -245,9 +303,6 @@ func (m *Memory) Memcpy(dst, src uint64, n int) error {
 	m.checkWatch(dst, n)
 	return nil
 }
-
-// NoteStore applies watchpoint checking for an externally performed write.
-func (m *Memory) NoteStore(addr uint64, size int) { m.checkWatch(addr, size) }
 
 func (m *Memory) checkWatch(addr uint64, size int) {
 	if m.nwatches == 0 {

@@ -1,64 +1,207 @@
 package mem
 
+// Page-granular copy-on-write snapshots.
+//
+// A Snapshot is three tables of pointers to immutable 4 KiB pages, one table
+// per segment. Pages are never written after the snapshot that created them
+// returns, so any number of snapshots — successive epochs' checkpoints, a
+// checkpoint folded from a trace, the copies concurrent segment replays share
+// — may point at the same page, and two snapshots that hold the same pointer
+// at an index hold the same bytes there. Every all-zero page of a snapshot
+// that was never stored to is the one global zeroPage. A segment whose length
+// is not a page multiple ends in a page whose bytes past the segment stay
+// zero, so whole-page comparison is exact.
+//
+// Live memory is not paged. What ties it to the tables is one invariant:
+//
+//	for every page i of every segment,
+//	dirty[i] clear  ⇒  live bytes of page i == *base.pages[i]
+//
+// mem.New establishes it (zero memory, base = the all-zero snapshot, no flag
+// set); storeWindow keeps it by setting the flag of every page it hands out;
+// Snapshot and Restore are the only code that clears a flag or moves base,
+// and each re-establishes it for the snapshot it returns or was given.
+// Restore accepts any snapshot of the same geometry — an older one, one taken
+// from another Memory, one folded from a trace by another goroutine — because
+// it trusts only the invariant, never the caller's history.
+//
+// Snapshot and Restore read every flag and read or write live memory, so the
+// caller must have every vthread of this Memory parked (the epoch
+// coordinator's quiescent boundary, or a runtime that has not started or has
+// finished); the park/resume handshake is what orders the vthreads' flag and
+// memory writes before them. Everything that takes only *Snapshot arguments
+// (Equal, DiffCount, the delta codec) is safe from any goroutine at any time.
+
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
-// Snapshot is a full copy of the writable address space taken at an epoch
-// boundary (§3.1). All vthreads must be quiescent when a snapshot is taken or
-// restored; the epoch coordinator guarantees this.
+// pageSize is the snapshot granule. 4 KiB keeps the page table of the
+// default 21 MiB address space at 5,376 pointers (43 KB per snapshot) while a
+// typical epoch dirties a few dozen pages.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+)
+
+// Segment indices, in address and wire order.
+const (
+	segGlobals = iota
+	segHeap
+	segStacks
+	numSegs
+)
+
+var segBase = [numSegs]uint64{GlobalBase, HeapBase, StackBase}
+
+type page [pageSize]byte
+
+// zeroPage backs every never-written page of every snapshot. Like all pages
+// it is immutable.
+var zeroPage page
+
+func pagesFor(n int) int { return (n + pageSize - 1) >> pageShift }
+
+// pageLen is the number of bytes of a segment of n bytes that fall in page i.
+func pageLen(n, i int) int { return min(pageSize, n-i<<pageShift) }
+
+// Snapshot is an immutable image of the writable address space at an epoch
+// boundary (§3.1).
 type Snapshot struct {
-	globals []byte
-	heap    []byte
-	stacks  []byte
+	lens   [numSegs]int
+	pages  [numSegs][]*page
+	copied int
 }
 
-// Snapshot copies every writable segment.
-func (m *Memory) Snapshot() *Snapshot {
-	s := &Snapshot{
-		globals: make([]byte, len(m.globals)),
-		heap:    make([]byte, len(m.heap)),
-		stacks:  make([]byte, len(m.stacks)),
+// zeroSnapshot is the all-zero image of the given geometry: page tables only.
+func zeroSnapshot(lens [numSegs]int) *Snapshot {
+	s := &Snapshot{lens: lens}
+	for seg, n := range lens {
+		table := make([]*page, pagesFor(n))
+		for i := range table {
+			table[i] = &zeroPage
+		}
+		s.pages[seg] = table
 	}
-	copy(s.globals, m.globals)
-	copy(s.heap, m.heap)
-	copy(s.stacks, m.stacks)
 	return s
 }
 
-// Restore copies a snapshot back over the address space, implementing the
-// memory portion of rollback (§3.4). Stack areas beyond the checkpointed
-// image are restored wholesale, which subsumes the paper's zeroing of the
-// unused stack remainder.
+// pageAt returns page i of segment seg; a nil snapshot is the all-zero image
+// every keyframe is encoded against and folded over.
+func (s *Snapshot) pageAt(seg, i int) *page {
+	if s == nil {
+		return &zeroPage
+	}
+	return s.pages[seg][i]
+}
+
+// live returns the three segments for reading.
+func (m *Memory) live() [numSegs][]byte {
+	return [numSegs][]byte{m.globals, m.heap, m.stacks}
+}
+
+// Snapshot captures the address space: the pages stored to since the base
+// snapshot are copied, every other page is shared with it, and the result
+// becomes the new base.
+func (m *Memory) Snapshot() *Snapshot {
+	s := &Snapshot{lens: m.base.lens}
+	for seg, live := range m.live() {
+		flags, table := m.dirty[seg], m.base.pages[seg]
+		shared := true
+		for i := range flags {
+			if flags[i].Load() == 0 {
+				continue
+			}
+			if shared {
+				table, shared = slices.Clone(table), false
+			}
+			p := new(page)
+			copy(p[:], live[i<<pageShift:])
+			table[i] = p
+			flags[i].Store(0)
+			s.copied++
+		}
+		s.pages[seg] = table
+	}
+	m.base = s
+	return s
+}
+
+// Restore makes the address space equal to s, implementing the memory
+// portion of rollback (§3.4): it copies back every page that was stored to
+// since the base snapshot or that s does not share with the base, and s
+// becomes the base. Stack pages beyond the checkpointed image are restored
+// like any other, which subsumes the paper's zeroing of the unused stack
+// remainder. s must have this address space's geometry.
 func (m *Memory) Restore(s *Snapshot) {
-	copy(m.globals, s.globals)
-	copy(m.heap, s.heap)
-	copy(m.stacks, s.stacks)
+	if s.lens != m.base.lens {
+		panic(fmt.Sprintf("mem: restoring a %v snapshot into a %v address space", s.lens, m.base.lens))
+	}
+	for seg, to := range s.pages {
+		flags, from := m.dirty[seg], m.base.pages[seg]
+		for i := range flags {
+			if flags[i].Load() == 0 && from[i] == to[i] {
+				continue
+			}
+			// The window marks the page; the flag is cleared once the page
+			// holds the snapshot's bytes again.
+			w, _ := m.storeWindow(segBase[seg]+uint64(i)<<pageShift, pageLen(s.lens[seg], i))
+			copy(w, to[i][:])
+			flags[i].Store(0)
+		}
+	}
+	m.base = s
 }
 
 // Lens returns the byte sizes of the snapshot's globals, heap, and stacks
 // images; a restore target must be configured identically.
 func (s *Snapshot) Lens() (globals, heap, stacks int) {
-	return len(s.globals), len(s.heap), len(s.stacks)
+	return s.lens[segGlobals], s.lens[segHeap], s.lens[segStacks]
 }
 
-// Equal reports whether two snapshots are byte-identical — the segment
-// stitching check: a replayed segment's end state must match the next
-// recorded checkpoint exactly.
+// PagesCopied returns how many pages this snapshot does not share with the
+// snapshot it was derived from: the pages Memory.Snapshot copied out of live
+// memory, or the pages a delta's literals touched.
+func (s *Snapshot) PagesCopied() int { return s.copied }
+
+// Equal reports whether two snapshots are byte-identical over the whole
+// address space — the segment stitching check: a replayed segment's end state
+// must match the next recorded checkpoint exactly. A page both snapshots hold
+// by the same pointer is equal because pages are immutable; every other page
+// is compared.
 func (s *Snapshot) Equal(o *Snapshot) bool {
-	return s.DiffCount(o) == 0
+	if o == nil || s.lens != o.lens {
+		return false
+	}
+	for seg, a := range s.pages {
+		b := o.pages[seg]
+		for i := range a {
+			if a[i] != b[i] && *a[i] != *b[i] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // DiffCount counts differing byte positions across all three segments
-// (diagnostics for a failed stitch).
+// (diagnostics for a failed stitch). Against nil or another geometry every
+// position differs.
 func (s *Snapshot) DiffCount(o *Snapshot) int {
-	if o == nil {
-		return len(s.globals) + len(s.heap) + len(s.stacks)
+	if o == nil || s.lens != o.lens {
+		return s.lens[segGlobals] + s.lens[segHeap] + s.lens[segStacks]
 	}
-	return DiffBytes(s.globals, o.globals) +
-		DiffBytes(s.heap, o.heap) +
-		DiffBytes(s.stacks, o.stacks)
+	diff := 0
+	for seg, a := range s.pages {
+		for i, p := range a {
+			if q := o.pages[seg][i]; p != q {
+				diff += DiffBytes(p[:], q[:])
+			}
+		}
+	}
+	return diff
 }
 
 // --- snapshot delta codec -------------------------------------------------
@@ -76,8 +219,11 @@ func (s *Snapshot) DiffCount(o *Snapshot) int {
 //	run     := zeros:uvarint lit:uvarint litbyte*lit
 //
 // The encoding is canonical: every zero run is maximal (a literal run never
-// contains 8 or more consecutive zero XOR bytes), so equal inputs produce
-// identical bytes.
+// contains 8 or more consecutive zero XOR bytes, and runs do not stop at page
+// edges), so equal inputs produce identical bytes. Pages are how the codec
+// avoids work, not part of the format: a page prev and cur share by pointer
+// is 4 KiB of zero run without being read, and a fold step shares with prev
+// every page no literal touches.
 
 // minZeroRun is the shortest XOR zero run worth breaking a literal for: a
 // run header costs two varints, so runs shorter than this are cheaper left
@@ -88,87 +234,121 @@ const minZeroRun = 8
 // prev encodes against an all-zero image of the same geometry (the first
 // checkpoint of a trace). prev and cur must have identical segment lengths.
 func AppendSnapshotDelta(b []byte, prev, cur *Snapshot) ([]byte, error) {
-	if prev != nil {
-		pg, ph, ps := prev.Lens()
-		cg, ch, cs := cur.Lens()
-		if pg != cg || ph != ch || ps != cs {
-			return nil, fmt.Errorf("mem: snapshot delta across mismatched geometries (%d/%d/%d vs %d/%d/%d)",
-				pg, ph, ps, cg, ch, cs)
-		}
+	if prev != nil && prev.lens != cur.lens {
+		return nil, fmt.Errorf("mem: snapshot delta across mismatched geometries (%d/%d/%d vs %d/%d/%d)",
+			prev.lens[0], prev.lens[1], prev.lens[2], cur.lens[0], cur.lens[1], cur.lens[2])
 	}
-	b = binary.AppendUvarint(b, uint64(len(cur.globals)))
-	b = binary.AppendUvarint(b, uint64(len(cur.heap)))
-	b = binary.AppendUvarint(b, uint64(len(cur.stacks)))
-	segs := [3][2][]byte{
-		{curPrev(prev).globals, cur.globals},
-		{curPrev(prev).heap, cur.heap},
-		{curPrev(prev).stacks, cur.stacks},
-	}
-	for _, s := range segs {
-		b = appendSegDelta(b, s[0], s[1])
-	}
-	return b, nil
+	e := deltaEncoder{b: b}
+	e.encode(prev, cur)
+	return e.b, nil
 }
 
-var zeroSnapshot Snapshot
-
-func curPrev(prev *Snapshot) *Snapshot {
-	if prev == nil {
-		return &zeroSnapshot
-	}
-	return prev
+// deltaEncoder turns the XOR stream of one snapshot pair into runs. Between
+// calls it is in one of two states: no literal open (lit empty, zeros counts
+// the zero run so far) or a literal open (lit holds its bytes, the last tail
+// of them zero — a zero run still too short to end the literal).
+type deltaEncoder struct {
+	b     []byte
+	zeros uint64
+	lit   []byte
+	tail  int
+	// pagesRead counts pages whose bytes were examined: the encoder's cost,
+	// which tests hold to the number of pages the pair does not share.
+	pagesRead int
 }
 
-// xorAt returns cur[i] ^ prev[i], treating a short (or empty) prev as zero.
-func xorAt(prev, cur []byte, i int) byte {
-	if i < len(prev) {
-		return cur[i] ^ prev[i]
+func (e *deltaEncoder) encode(prev, cur *Snapshot) {
+	for _, n := range cur.lens {
+		e.b = binary.AppendUvarint(e.b, uint64(n))
 	}
-	return cur[i]
+	for seg, table := range cur.pages {
+		for i, c := range table {
+			if p, k := prev.pageAt(seg, i), pageLen(cur.lens[seg], i); c == p {
+				e.zeroRun(k)
+			} else {
+				e.xorPage(p, c, k)
+			}
+		}
+		e.endSegment()
+	}
 }
 
-func appendSegDelta(b []byte, prev, cur []byte) []byte {
-	i := 0
-	for i < len(cur) {
-		zs := i
-		for i < len(cur) && xorAt(prev, cur, i) == 0 {
-			i++
+// xorPage feeds the first n XOR bytes of a page pair, a word at a time.
+func (e *deltaEncoder) xorPage(p, c *page, n int) {
+	e.pagesRead++
+	k := 0
+	for ; k+8 <= n; k += 8 {
+		x := binary.LittleEndian.Uint64(c[k:]) ^ binary.LittleEndian.Uint64(p[k:])
+		if x == 0 {
+			e.zeroRun(8)
+			continue
 		}
-		zeros := i - zs
-		ls := i
-		// A literal run extends until a maximal zero run of at least
-		// minZeroRun begins (or the segment ends).
-		for i < len(cur) {
-			if xorAt(prev, cur, i) != 0 {
-				i++
-				continue
-			}
-			j := i
-			for j < len(cur) && xorAt(prev, cur, j) == 0 {
-				j++
-			}
-			if j-i >= minZeroRun || j == len(cur) {
-				break
-			}
-			i = j
-		}
-		if zeros == 0 && i == ls {
-			break // nothing left
-		}
-		b = binary.AppendUvarint(b, uint64(zeros))
-		b = binary.AppendUvarint(b, uint64(i-ls))
-		for k := ls; k < i; k++ {
-			b = append(b, xorAt(prev, cur, k))
+		for j := 0; j < 64; j += 8 {
+			e.xorByte(byte(x >> j))
 		}
 	}
-	return b
+	for ; k < n; k++ {
+		e.xorByte(c[k] ^ p[k])
+	}
+}
+
+func (e *deltaEncoder) xorByte(x byte) {
+	if x == 0 {
+		e.zeroRun(1)
+		return
+	}
+	e.lit = append(e.lit, x)
+	e.tail = 0
+}
+
+// zeroRun feeds n zero XOR bytes. An open literal absorbs them while its
+// trailing zero run stays below minZeroRun; once the run reaches it, the
+// literal ended where the run began.
+func (e *deltaEncoder) zeroRun(n int) {
+	switch {
+	case len(e.lit) == 0:
+		e.zeros += uint64(n)
+	case e.tail+n < minZeroRun:
+		e.lit = append(e.lit, zeroPage[:n]...)
+		e.tail += n
+	default:
+		run := e.tail + n
+		e.emit()
+		e.zeros = uint64(run)
+	}
+}
+
+// emit writes the pending (zeros, literal) pair, the literal without its
+// trailing zeros, and returns to the no-literal state.
+func (e *deltaEncoder) emit() {
+	lit := e.lit[:len(e.lit)-e.tail]
+	e.b = binary.AppendUvarint(e.b, e.zeros)
+	e.b = binary.AppendUvarint(e.b, uint64(len(lit)))
+	e.b = append(e.b, lit...)
+	e.zeros, e.lit, e.tail = 0, e.lit[:0], 0
+}
+
+// endSegment closes a segment: a literal never carries trailing zeros to the
+// segment end, they form a final (zeros, 0) run, as does a trailing zero run
+// of any length.
+func (e *deltaEncoder) endSegment() {
+	if len(e.lit) > 0 {
+		tail := e.tail
+		e.emit()
+		e.zeros = uint64(tail)
+	}
+	if e.zeros > 0 {
+		e.emit()
+	}
 }
 
 // ApplySnapshotDelta reconstructs the snapshot a delta encodes by folding it
-// over prev (nil prev = all-zero base). It returns a fresh snapshot; prev is
-// not mutated.
+// over prev (nil prev = all-zero base). The result shares with prev — or with
+// the zero page — every page no literal run touches, so a fold step and a
+// hostile keyframe alike allocate the page tables plus the pages their
+// literal bytes land on. prev is not mutated.
 func ApplySnapshotDelta(prev *Snapshot, data []byte) (*Snapshot, error) {
-	var lens [3]int
+	var lens [numSegs]int
 	rest := data
 	for i := range lens {
 		v, n := binary.Uvarint(rest)
@@ -182,28 +362,24 @@ func ApplySnapshotDelta(prev *Snapshot, data []byte) (*Snapshot, error) {
 		lens[i] = int(v)
 		rest = rest[n:]
 	}
-	if prev != nil {
-		pg, ph, ps := prev.Lens()
-		if pg != lens[0] || ph != lens[1] || ps != lens[2] {
+	var out *Snapshot
+	if prev == nil {
+		out = zeroSnapshot(lens)
+	} else {
+		if prev.lens != lens {
 			return nil, fmt.Errorf("mem: snapshot delta geometry %d/%d/%d does not match base %d/%d/%d",
-				lens[0], lens[1], lens[2], pg, ph, ps)
+				lens[0], lens[1], lens[2], prev.lens[0], prev.lens[1], prev.lens[2])
+		}
+		out = &Snapshot{lens: lens}
+		for seg, table := range prev.pages {
+			out.pages[seg] = slices.Clone(table)
 		}
 	}
-	out := &Snapshot{
-		globals: make([]byte, lens[0]),
-		heap:    make([]byte, lens[1]),
-		stacks:  make([]byte, lens[2]),
-	}
-	base := curPrev(prev)
-	var err error
-	if rest, err = applySegDelta(out.globals, base.globals, rest); err != nil {
-		return nil, err
-	}
-	if rest, err = applySegDelta(out.heap, base.heap, rest); err != nil {
-		return nil, err
-	}
-	if rest, err = applySegDelta(out.stacks, base.stacks, rest); err != nil {
-		return nil, err
+	for seg := range out.pages {
+		var err error
+		if rest, err = out.applySegDelta(prev, seg, rest); err != nil {
+			return nil, err
+		}
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("mem: %d trailing bytes in snapshot delta", len(rest))
@@ -211,33 +387,48 @@ func ApplySnapshotDelta(prev *Snapshot, data []byte) (*Snapshot, error) {
 	return out, nil
 }
 
-func applySegDelta(dst, prev, data []byte) ([]byte, error) {
-	copy(dst, prev)
+// applySegDelta folds one segment's runs into out's page table, which starts
+// as a copy of prev's. A page is copied the first time a literal lands on
+// it; the unread data is returned.
+func (out *Snapshot) applySegDelta(prev *Snapshot, seg int, data []byte) ([]byte, error) {
+	table, n := out.pages[seg], out.lens[seg]
 	pos := 0
-	for pos < len(dst) {
-		zeros, n := binary.Uvarint(data)
-		if n <= 0 {
+	for pos < n {
+		zeros, w := binary.Uvarint(data)
+		if w <= 0 {
 			return nil, fmt.Errorf("mem: truncated snapshot delta run at offset %d", pos)
 		}
-		data = data[n:]
-		lit, n := binary.Uvarint(data)
-		if n <= 0 {
+		data = data[w:]
+		lit, w := binary.Uvarint(data)
+		if w <= 0 {
 			return nil, fmt.Errorf("mem: truncated snapshot delta run at offset %d", pos)
 		}
-		data = data[n:]
-		if zeros > uint64(len(dst)-pos) || lit > uint64(len(dst)-pos)-zeros {
+		data = data[w:]
+		if zeros > uint64(n-pos) || lit > uint64(n-pos)-zeros {
 			return nil, fmt.Errorf("mem: snapshot delta run overflows segment (%d+%d at %d/%d)",
-				zeros, lit, pos, len(dst))
+				zeros, lit, pos, n)
 		}
 		if lit > uint64(len(data)) {
 			return nil, fmt.Errorf("mem: snapshot delta literal run of %d with %d bytes left", lit, len(data))
 		}
 		pos += int(zeros)
-		for i := 0; i < int(lit); i++ {
-			dst[pos] ^= data[i]
-			pos++
+		for left := int(lit); left > 0; {
+			i, off := pos>>pageShift, pos&(pageSize-1)
+			k := min(left, pageSize-off)
+			p := table[i]
+			if orig := prev.pageAt(seg, i); p == orig {
+				p = new(page)
+				*p = *orig
+				table[i] = p
+				out.copied++
+			}
+			for j, x := range data[:k] {
+				p[off+j] ^= x
+			}
+			data = data[k:]
+			pos += k
+			left -= k
 		}
-		data = data[lit:]
 	}
 	return data, nil
 }

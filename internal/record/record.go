@@ -13,7 +13,10 @@
 // thread's entries is itself an epoch-end trigger.
 package record
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Kind classifies a recorded event.
 type Kind uint8
@@ -95,7 +98,12 @@ type Event struct {
 type ThreadList struct {
 	events []Event
 	n      int // recorded
-	r      int // replay cursor
+	// r is the replay cursor. Only the owning thread moves it, but the epoch
+	// coordinator reads it (Replayed) once it has inferred from spaced
+	// observations that the world is quiescent — an inference a busy host
+	// can falsify, which the coordinator's grace period allows for — so the
+	// cursor is atomic rather than ordered by the park handshake.
+	r atomic.Int64
 }
 
 // NewThreadList preallocates capacity for cap events.
@@ -127,27 +135,31 @@ func (l *ThreadList) Full() bool { return l.n == len(l.events) }
 
 // Peek returns the next event to replay, or nil when the list is exhausted.
 func (l *ThreadList) Peek() *Event {
-	if l.r >= l.n {
+	r := int(l.r.Load())
+	if r >= l.n {
 		return nil
 	}
-	return &l.events[l.r]
+	return &l.events[r]
 }
 
 // Advance consumes the event returned by Peek.
 func (l *ThreadList) Advance() {
-	if l.r < l.n {
-		l.r++
+	if r := l.r.Load(); int(r) < l.n {
+		l.r.Store(r + 1)
 	}
 }
 
 // Replayed reports whether every recorded event has been replayed.
-func (l *ThreadList) Replayed() bool { return l.r >= l.n }
+func (l *ThreadList) Replayed() bool { return int(l.r.Load()) >= l.n }
 
 // ResetReplay rewinds the replay cursor for a fresh re-execution (§3.4).
-func (l *ThreadList) ResetReplay() { l.r = 0 }
+func (l *ThreadList) ResetReplay() { l.r.Store(0) }
 
 // Clear discards all events at an epoch boundary (§3.1 housekeeping).
-func (l *ThreadList) Clear() { l.n, l.r = 0, 0 }
+func (l *ThreadList) Clear() {
+	l.n = 0
+	l.r.Store(0)
+}
 
 // Events returns the recorded events (read-only view for tools/tests).
 func (l *ThreadList) Events() []Event { return l.events[:l.n] }
