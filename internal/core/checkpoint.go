@@ -221,7 +221,7 @@ func (rt *Runtime) primeAtCheckpoint(start *Checkpoint, fl *record.Flat, end *Ch
 			if err != nil {
 				return err
 			}
-			t.state.Store(tsDead)
+			t.setState(tsDead)
 			close(t.startCh)
 			close(t.doneCh)
 			continue

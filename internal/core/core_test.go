@@ -153,6 +153,7 @@ func TestIdenticalReplay(t *testing.T) {
 	if rep.Stats.MatchedReplays < 1 {
 		t.Fatalf("stats = %+v", rep.Stats)
 	}
+	requireNoRetry(t, rt, rep.Stats)
 }
 
 // buildAllocProgram makes workers allocate/free with recorded syscalls so
@@ -295,4 +296,5 @@ func TestReplayOfMiddleEpoch(t *testing.T) {
 	if rep.Stats.MatchedReplays < 1 {
 		t.Fatalf("no matched replay: %+v", rep.Stats)
 	}
+	requireNoRetry(t, rt, rep.Stats)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/heap"
@@ -21,6 +22,26 @@ import (
 //	phReplayStopping -> phRollback    (divergence: search again, §3.5.2)
 //	phReplayStopping -> phRecord      (matched: proceed to next epoch)
 //	any -> phShutdown                 (program end)
+//
+// The coordinator never infers that the world has stopped, it is told:
+// Runtime.running counts the threads in tsRunning, it moves only on a state
+// transition in Thread.setStateLocked, and the thread that takes it to zero
+// posts to Runtime.quiet (signal.go holds the contract). Three rules make
+// zero mean quiescent:
+//
+//   - A phase is stored, then every thread is woken (setPhase, requestStop,
+//     requestReplayStop): a parked thread is counted running by the waker,
+//     a thread about to park finds a token and re-reads the phase instead.
+//   - Whoever hands a thread a start or resume message counts it running
+//     first; a stop request is signalled to the coordinator after its wakes.
+//   - Each wait therefore needs one check. After phStopping or during
+//     phReplay, zero is quiescent: every thread is parked at a gate, blocked
+//     with nobody runnable to unblock it, or at its trampoline. After
+//     phRollback, zero is all-unwound. During phReplay, zero with unreplayed
+//     events is a stall, immediately — not a slow host.
+//
+// Zero is checked against a scan of the thread states at every boundary; a
+// mismatch is a "core: quiescence accounting" error, never a silent proceed.
 const (
 	phRecord int32 = iota
 	phStopping
@@ -112,9 +133,12 @@ type threadCkpt struct {
 func (rt *Runtime) phase() int32         { return rt.ph.Load() }
 func (rt *Runtime) phaseIs(p int32) bool { return rt.ph.Load() == p }
 
+// setPhase publishes p and then wakes every thread: parked ones are counted
+// running before setPhase returns, so a coordinator that waits next waits for
+// them.
 func (rt *Runtime) setPhase(p int32) {
 	rt.ph.Store(p)
-	rt.phaseCh.Broadcast()
+	rt.wakeAll()
 }
 
 // requestStop asks the world to stop for an epoch end; only the first
@@ -129,7 +153,9 @@ func (rt *Runtime) requestStop(reason StopReason, tid int32) bool {
 	rt.stopTID = tid
 	rt.ph.Store(phStopping)
 	rt.stopMu.Unlock()
-	rt.phaseCh.Broadcast()
+	// Wake, then signal: when the coordinator starts waiting the count already
+	// includes every thread this stop made runnable.
+	rt.wakeAll()
 	select {
 	case rt.monitorCh <- struct{}{}:
 	default:
@@ -140,12 +166,13 @@ func (rt *Runtime) requestStop(reason StopReason, tid int32) bool {
 // requestReplayStop interrupts a replay (divergence detected).
 func (rt *Runtime) requestReplayStop() bool {
 	rt.stopMu.Lock()
-	defer rt.stopMu.Unlock()
 	if rt.ph.Load() != phReplay {
+		rt.stopMu.Unlock()
 		return false
 	}
 	rt.ph.Store(phReplayStopping)
-	rt.phaseCh.Broadcast()
+	rt.stopMu.Unlock()
+	rt.wakeAll()
 	return true
 }
 
@@ -174,20 +201,9 @@ func (rt *Runtime) onTrap(t *Thread, err error) {
 		}
 		rt.noteDivergence(t, 0, 0, nil)
 	default:
-		rt.errMu.Lock()
-		if rt.progErr == nil {
-			rt.progErr = err
-		}
-		rt.errMu.Unlock()
+		rt.setErr(err)
 		rt.requestStop(StopFault, t.id)
 	}
-}
-
-// replayAttempt returns the current re-execution attempt (0 = recording).
-func (rt *Runtime) replayAttempt() int {
-	rt.divMu.Lock()
-	defer rt.divMu.Unlock()
-	return rt.attempt
 }
 
 // monitor is the coordinator: it owns quiescence detection, checkpointing,
@@ -205,13 +221,25 @@ func (rt *Runtime) monitor() {
 			return
 		}
 		qs := time.Now() //ir:wallclock quiescence latency telemetry
-		rt.awaitQuiescence()
+		err := rt.awaitQuiescence()
 		rt.observeQuiescence(qs)
-		if done := rt.handleEpochEnd(); done {
+		if err != nil {
+			rt.setErr(err)
+		}
+		if err != nil || rt.handleEpochEnd() {
 			rt.shutdown()
 			return
 		}
 	}
+}
+
+// setErr records the run's terminating error; the first one wins.
+func (rt *Runtime) setErr(err error) {
+	rt.errMu.Lock()
+	if rt.progErr == nil {
+		rt.progErr = err
+	}
+	rt.errMu.Unlock()
 }
 
 // observeQuiescence accounts one completed quiescence wait that began at
@@ -224,52 +252,6 @@ func (rt *Runtime) observeQuiescence(start time.Time) {
 	obs.CoreQuiescence.Observe(d.Seconds())
 }
 
-// awaitQuiescence blocks until no thread is running and the world has been
-// stable across consecutive observations — the "all threads have reached a
-// quiescent state" condition of §2.1/§3.3. Threads blocked on
-// synchronization count as stopped: with every other thread parked, nothing
-// can wake them.
-func (rt *Runtime) awaitQuiescence() {
-	// Stability must hold across several spaced observations, not one: on an
-	// oversubscribed host a runnable thread can sit unscheduled (still
-	// tsBlocked) past a single 50µs window, and declaring a stall then would
-	// send a healthy replay into a spurious rollback.
-	const confirmations = 4
-	stable := 0
-	a1 := rt.activity.Load()
-	for { //ir:nopoll interrupt parks guest threads at gated points; quiescence then completes and ends this wait
-		if !rt.noneRunning() {
-			stable = 0
-			time.Sleep(100 * time.Microsecond) //ir:wallclock stability-window spacing between host-time observations
-			a1 = rt.activity.Load()
-			continue
-		}
-		time.Sleep(50 * time.Microsecond) //ir:wallclock stability-window spacing between host-time observations
-		if a2 := rt.activity.Load(); a2 != a1 || !rt.noneRunning() {
-			stable = 0
-			a1 = rt.activity.Load()
-			continue
-		}
-		if stable++; stable >= confirmations {
-			return
-		}
-	}
-}
-
-func (rt *Runtime) noneRunning() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, t := range rt.threads {
-		if t == nil {
-			continue
-		}
-		if s := t.state.Load(); s == tsRunning {
-			return false
-		}
-	}
-	return true
-}
-
 // handleEpochEnd runs after quiescence: consult tools, then proceed, replay
 // (possibly many times, §3.5.2), or terminate. Returns true when the
 // program is over.
@@ -278,11 +260,7 @@ func (rt *Runtime) handleEpochEnd() bool {
 	// epoch's log is deliberately not flushed (a canceled recording is an
 	// incomplete trace, and the store reports it as such).
 	if err := rt.pollInterrupt(); err != nil {
-		rt.errMu.Lock()
-		if rt.progErr == nil {
-			rt.progErr = fmt.Errorf("core: run interrupted: %w", err)
-		}
-		rt.errMu.Unlock()
+		rt.setErr(fmt.Errorf("core: run interrupted: %w", err))
 		return true
 	}
 	// stopReason/stopTID are written by requestStop under stopMu from
@@ -323,33 +301,34 @@ func (rt *Runtime) handleEpochEnd() bool {
 	)
 
 	rt.divMu.Lock()
-	rt.attempt = 0
+	rt.attempt.Store(0)
 	rt.divMu.Unlock()
 
 	for decision == Replay {
 		rt.divMu.Lock()
-		rt.attempt++
-		attempt := rt.attempt
+		attempt := int(rt.attempt.Add(1))
 		rt.diverged = false
 		rt.divMu.Unlock()
 		if rt.opts.MaxReplays > 0 && attempt > rt.opts.MaxReplays {
 			decision = Abort
-			rt.errMu.Lock()
-			if rt.progErr == nil {
-				rt.progErr = fmt.Errorf("core: no matching schedule within %d replays", rt.opts.MaxReplays)
-			}
-			rt.errMu.Unlock()
+			rt.setErr(fmt.Errorf("core: no matching schedule within %d replays", rt.opts.MaxReplays))
 			break
 		}
 		rt.stats.Replays++
 		rollbacks = attempt
 		obs.CoreRollbacks.Inc()
 		rbStart := time.Now() //ir:wallclock rollback timeline telemetry
-		rt.rollbackAndReplay()
-		qs := time.Now() //ir:wallclock quiescence latency telemetry
-		rt.awaitQuiescence()
-		rt.observeQuiescence(qs)
+		err := rt.rollbackAndReplay()
+		if err == nil {
+			qs := time.Now() //ir:wallclock quiescence latency telemetry
+			err = rt.awaitQuiescence()
+			rt.observeQuiescence(qs)
+		}
 		bnd.Record(fmt.Sprintf("rollback %d", attempt), rbStart, time.Now()) //ir:wallclock rollback timeline telemetry
+		if err != nil {
+			rt.setErr(err)
+			return true
+		}
 
 		if rt.replayMatched() {
 			rt.stats.MatchedReplays++
@@ -372,11 +351,7 @@ func (rt *Runtime) handleEpochEnd() bool {
 		return true
 	default: // Proceed
 		if err := rt.flushTraceSink(reason); err != nil {
-			rt.errMu.Lock()
-			if rt.progErr == nil {
-				rt.progErr = fmt.Errorf("core: trace sink: %w", err)
-			}
-			rt.errMu.Unlock()
+			rt.setErr(fmt.Errorf("core: trace sink: %w", err))
 			return true
 		}
 		if reason == StopProgramEnd || reason == StopFault {
@@ -391,11 +366,7 @@ func (rt *Runtime) handleEpochEnd() bool {
 			return true
 		}
 		if err := rt.beginEpoch(); err != nil {
-			rt.errMu.Lock()
-			if rt.progErr == nil {
-				rt.progErr = err
-			}
-			rt.errMu.Unlock()
+			rt.setErr(err)
 			return true
 		}
 		return false
@@ -466,35 +437,12 @@ func (rt *Runtime) captureEpochLog(reason StopReason) *record.EpochLog {
 	return ep
 }
 
-// replayStalled probes — without flagging divergence — whether the quiescent
-// world still holds unreplayed events while no thread observed a mismatch:
-// the state that is either a genuinely stuck schedule or, on an
-// oversubscribed host, a runnable thread the scheduler has not run yet.
-// Offline replay re-confirms a stall across a grace period before letting
-// replayMatched turn it into a divergence.
-func (rt *Runtime) replayStalled() bool {
-	rt.divMu.Lock()
-	diverged := rt.diverged
-	rt.divMu.Unlock()
-	if diverged {
-		return false
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, t := range rt.threads {
-		if t == nil || t.state.Load() == tsDead {
-			continue
-		}
-		if !t.list.Replayed() {
-			return true
-		}
-	}
-	return false
-}
-
 // replayMatched reports whether the finished re-execution reproduced the
 // recorded schedule: no divergence was flagged and every thread consumed its
-// entire per-thread list (§3.5.2).
+// entire per-thread list (§3.5.2). It runs with the count at zero, so a
+// thread with events left is stalled, not slow: nothing is runnable that
+// could unblock it. The verdict names every such thread, its next recorded
+// event and what it is parked on — the wait-for picture of the stall.
 func (rt *Runtime) replayMatched() bool {
 	rt.divMu.Lock()
 	diverged := rt.diverged
@@ -504,21 +452,57 @@ func (rt *Runtime) replayMatched() bool {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	var stalled []string
 	for _, t := range rt.threads {
-		if t == nil || t.state.Load() == tsDead {
+		if t == nil || t.state.Load() == tsDead || t.list.Replayed() {
 			continue
 		}
-		if !t.list.Replayed() {
-			rt.divMu.Lock()
-			rt.diverged = true
-			rt.divInfo = fmt.Sprintf("thread %d stalled with %d unreplayed events",
-				t.id, t.list.Len())
-			rt.stats.Divergences++
-			rt.divMu.Unlock()
-			return false
-		}
+		ev := t.list.Peek()
+		stalled = append(stalled, fmt.Sprintf("thread %d stalled before its recorded %v (variable %#x, turn %d), %s",
+			t.id, ev.Kind, ev.Var, ev.Pos, t.describeWait()))
 	}
-	return true
+	if len(stalled) == 0 {
+		return true
+	}
+	rt.divMu.Lock()
+	rt.diverged = true
+	rt.divInfo = strings.Join(stalled, "; ")
+	rt.stats.Divergences++
+	rt.divMu.Unlock()
+	return false
+}
+
+// describeWait says what a non-running thread is waiting for. The world is
+// quiescent: t.waiting was written before t parked.
+func (t *Thread) describeWait() string {
+	st := t.state.Load()
+	if st != tsBlocked && st != tsStopped {
+		return stateName(st)
+	}
+	w := t.waiting
+	if w.s == nil {
+		if w.kind == wkJoin {
+			return fmt.Sprintf("parked on the exit of thread %d, which is %s", w.on.id, stateName(w.on.state.Load()))
+		}
+		return "parked for the stop"
+	}
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	turn := fmt.Sprintf("the turn is %d, past the recorded order", w.s.order.Turn())
+	if int(w.s.order.Turn()) < w.s.order.Len() {
+		turn = fmt.Sprintf("the turn is %d, thread %d's", w.s.order.Turn(), w.s.order.Owner(w.s.order.Turn()))
+	}
+	switch w.kind {
+	case wkTurn:
+		return fmt.Sprintf("parked on variable %#x for turn %d; %s", w.s.addr, w.pos, turn)
+	case wkCond:
+		return fmt.Sprintf("parked on condition %#x (fuel %d, %d waiters) for turn %d; %s",
+			w.s.addr, w.s.fuel, w.s.waiters, w.pos, turn)
+	case wkMutex:
+		return fmt.Sprintf("parked on mutex %#x held by thread %d", w.s.addr, w.s.holder)
+	default: // wkBarrier
+		return fmt.Sprintf("parked on barrier %#x with %d of %d arrived", w.s.addr, w.s.arrived, w.s.parties)
+	}
 }
 
 // beginEpoch performs §3.1: housekeeping (deferred syscalls, reclamation of
@@ -590,12 +574,15 @@ func (rt *Runtime) takeCheckpoint() {
 // rollbackAndReplay implements §3.4: unwind every thread to its trampoline,
 // restore memory, allocator, file positions, shadow state and list cursors,
 // then resume each thread from its checkpointed context for re-execution.
-func (rt *Runtime) rollbackAndReplay() {
-	// 1. Unwind: every thread leaves its hook and parks at its trampoline.
+func (rt *Runtime) rollbackAndReplay() error {
+	// 1. Unwind: the phase change counts every parked thread running; each
+	// leaves its hook for its trampoline, and count zero is all-unwound.
 	rt.setPhase(phRollback)
-	rt.awaitAllUnwound()
+	if err := rt.awaitUnwound(); err != nil {
+		return err
+	}
 
-	// 2. Restore shared state while every thread is parked.
+	// 2. Restore shared state while every thread is at its trampoline.
 	if rt.offline {
 		// An offline retry restarts the whole program; discard the diverged
 		// attempt's re-emitted output so a matched attempt's output is whole.
@@ -619,77 +606,58 @@ func (rt *Runtime) rollbackAndReplay() {
 			s.restore(varCkpt{holder: -1})
 		}
 	}
+
+	// Thread states a resumed thread may consult (a joiner tests its joinee
+	// for tsExited) are settled before anybody is resumed: a thread that had
+	// exited before the checkpoint stays at its trampoline as it is, exit
+	// value intact; one born during the dead epoch becomes an embryo again
+	// and waits for its replayed create event; one that was live at the
+	// checkpoint is tsUnwound even if it ran to its exit in the abandoned
+	// epoch — a lower-id joiner resumed before it must not take that stale
+	// exit for the replayed one. Either way its start channel is empty —
+	// whoever sent its last message counted it running first, so the count
+	// could not reach zero above until the message was consumed.
 	for _, t := range threads {
-		if t == nil {
+		if t == nil || t.state.Load() == tsDead {
 			continue
 		}
 		t.list.ResetReplay()
 		t.faulted = nil
+		t.exitMu.Lock()
+		t.joiners = t.joiners[:0]
+		t.exitMu.Unlock()
+		switch tc, inCkpt := rt.ckpt.threads[t.id]; {
+		case !inCkpt:
+			t.setState(tsEmbryo)
+		case tc.exited:
+			t.joined = tc.joined
+			t.setState(tsExited) // already so in situ; a segment's cast starts as embryos
+		default:
+			t.joined = tc.joined
+			t.setState(tsUnwound)
+		}
 	}
 
 	// The abandoned attempt's observations are about to be re-executed;
 	// stateful observers discard them while every thread is still parked.
 	rt.notifyReset()
 
-	// 3. Resume. Threads present in the checkpoint are restored to their
-	// contexts (or re-parked as exited); threads born during the dead epoch
-	// become embryos again and wait for their replayed create event.
+	// 3. Resume the threads that were live at the checkpoint. Each is marked
+	// running before it is handed its message: a thread with an unprocessed
+	// resume is not quiescent, and a coordinator that saw the hand-off window
+	// as a stall would start a second rollback whose send deadlocks against
+	// the undrained one-slot start channel.
 	rt.setPhase(phReplay)
 	for _, t := range threads {
 		if t == nil || t.state.Load() == tsDead {
 			continue
 		}
-		tc, inCkpt := rt.ckpt.threads[t.id]
-		switch {
-		case !inCkpt:
-			// Born during the dead epoch. Its creator marked it running
-			// before handing it its start message (threadCreate), so
-			// awaitAllUnwound above could not pass until the message was
-			// consumed and the thread unwound — the start channel is
-			// empty and the thread is parked at its trampoline.
-			t.setState(tsEmbryo)
-		case tc.exited:
-			t.joined = tc.joined
-			// Mark the thread running before handing it its message: a thread
-			// with an unprocessed resume is not quiescent, and quiescence
-			// detection observing the hand-off window would otherwise declare
-			// a stalled replay and start a second rollback whose send then
-			// deadlocks against the undrained one-slot start channel.
-			t.setState(tsRunning)
-			t.startCh <- startMsg{kind: smParkExited}
-		default:
-			t.joined = tc.joined
+		if tc, inCkpt := rt.ckpt.threads[t.id]; inCkpt && !tc.exited {
 			t.setState(tsRunning)
 			t.startCh <- startMsg{kind: smResume, ctx: tc.ctx, block: tc.block}
 		}
 	}
-}
-
-// awaitAllUnwound blocks until every live thread is parked at its trampoline
-// (or is an embryo / dead).
-func (rt *Runtime) awaitAllUnwound() {
-	for { //ir:nopoll rollback and interrupt both park every thread at its trampoline, which satisfies this wait
-		ready := true
-		rt.mu.Lock()
-		for _, t := range rt.threads {
-			if t == nil {
-				continue
-			}
-			switch t.state.Load() {
-			case tsUnwound, tsEmbryo, tsDead:
-			default:
-				ready = false
-			}
-			if !ready {
-				break
-			}
-		}
-		rt.mu.Unlock()
-		if ready {
-			return
-		}
-		time.Sleep(50 * time.Microsecond) //ir:wallclock spacing between unwind observations
-	}
+	return nil
 }
 
 // reclaimJoined releases joined, exited threads at the epoch boundary (§3.1:
@@ -702,6 +670,7 @@ func (rt *Runtime) reclaimJoined() {
 			continue
 		}
 		if t.state.Load() == tsExited && t.joined {
+			// The goroutine is at its trampoline; closing the channel ends it.
 			t.setState(tsDead)
 			close(t.startCh)
 		}

@@ -30,7 +30,6 @@ package core
 import (
 	"errors"
 	"fmt"
-
 	"time"
 
 	"repro/internal/record"
@@ -271,81 +270,72 @@ func (rt *Runtime) RunReplay() (*Report, error) {
 		maxReplays = 256
 	}
 	rt.divMu.Lock()
-	rt.attempt = 1
+	rt.attempt.Store(1)
 	rt.divMu.Unlock()
 	rt.stats.Replays++
+	// fail reaps the thread goroutines on every error path.
+	fail := func(err error) (*Report, error) {
+		rt.shutdown()
+		return nil, err
+	}
 	if rt.segStart != nil {
 		// Mid-trace segment: seed the world from the restored checkpoint and
 		// resume every thread at its checkpointed context — the same path a
 		// divergence retry takes, pointed at the segment start.
-		rt.rollbackAndReplay()
+		if err := rt.rollbackAndReplay(); err != nil {
+			return fail(err)
+		}
 	} else {
 		rt.setPhase(phReplay)
-		// Mark main running before releasing it so quiescence detection
-		// cannot observe an all-parked world in the hand-off window.
+		// Main is counted running before it is released, so the wait below
+		// cannot see an all-parked world in the hand-off window.
 		main.setState(tsRunning)
 		main.startCh <- startMsg{kind: smStart}
 	}
 
 	attempt := 1
 	for {
-		rt.awaitQuiescence()
+		if err := rt.awaitQuiescence(); err != nil {
+			return fail(err)
+		}
 		// A caller-interrupted replay stops here: interception sites have
 		// already unwound the running threads (intercept returns errShutdown
 		// once the interrupt latches), so quiescence arrives promptly.
 		if err := rt.pollInterrupt(); err != nil {
-			rt.shutdown()
-			return nil, fmt.Errorf("core: replay interrupted: %w", err)
+			return fail(fmt.Errorf("core: replay interrupted: %w", err))
 		}
-		if rt.replayStalled() {
-			// Quiescent with unreplayed events but no thread-flagged
-			// divergence: on an oversubscribed host this is usually a
-			// runnable thread the scheduler has not run yet, not a wrong
-			// schedule. A false positive here is expensive offline — the
-			// retry re-executes the whole segment under delay injection — so
-			// give the scheduler a grace period before declaring divergence.
-			for wait := 0; wait < 200 && rt.replayStalled(); wait++ {
-				if rt.pollInterrupt() != nil {
-					break // the check below reports the cause
-				}
-				time.Sleep(500 * time.Microsecond) //ir:wallclock divergence grace-period spacing
-				rt.awaitQuiescence()
-			}
-			if err := rt.pollInterrupt(); err != nil {
-				rt.shutdown()
-				return nil, fmt.Errorf("core: replay interrupted: %w", err)
-			}
-		}
+		// Quiescent is a fact: nothing is runnable, so unreplayed events are a
+		// stall whatever the host's scheduler is doing, and replayMatched calls
+		// it a divergence at once.
 		if rt.replayMatched() {
 			rt.stats.MatchedReplays++
 			rt.stats.LastReplayAttempts = attempt
 			break
 		}
 		if attempt >= maxReplays {
-			info := rt.DivergenceInfo()
-			rt.shutdown()
-			return nil, fmt.Errorf("core: offline replay diverged %d times without matching: %s",
-				attempt, info)
+			return fail(fmt.Errorf("core: offline replay diverged %d times without matching: %s",
+				attempt, rt.DivergenceInfo()))
 		}
 		attempt++
 		rt.stats.Replays++
 		rt.divMu.Lock()
-		rt.attempt = attempt
+		rt.attempt.Store(int32(attempt))
 		rt.diverged = false
 		rt.divMu.Unlock()
-		rt.rollbackAndReplay()
+		if err := rt.rollbackAndReplay(); err != nil {
+			return fail(err)
+		}
 	}
 
 	// Stitching check for segment replays: the matched schedule must also
 	// land on the next checkpoint's exact memory image and output budget.
 	if err := rt.verifySegmentEnd(); err != nil {
-		rt.shutdown()
-		return nil, err
+		return fail(err)
 	}
 
 	rep := &Report{
 		Exit:   main.exitVal,
-		Stats:  rt.stats,
+		Stats:  rt.StatsSnapshot(),
 		Output: rt.Output(),
 	}
 	_, ferr := rt.FaultedThread()

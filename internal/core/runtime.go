@@ -159,6 +159,10 @@ type Stats struct {
 	// snapshots copied, summed over the run: the pages each epoch stored to,
 	// out of the whole address space a flat copy would have moved.
 	CheckpointPages int64
+	// Parks is the number of times a thread went to sleep in the runtime — on
+	// a contended mutex, a condition, a barrier, a join, a replay turn or an
+	// epoch stop — summed from per-thread counters when the stats are read.
+	Parks int64
 }
 
 // Runtime executes one TIR program under iReplayer semantics.
@@ -185,9 +189,11 @@ type Runtime struct {
 	createVar *syncVar
 	superVar  *syncVar
 
-	ph       atomic.Int32
-	phaseCh  bcast
-	activity atomic.Int64
+	ph atomic.Int32
+	// running counts the threads in tsRunning; the thread that takes it to
+	// zero posts to quiet, which the coordinator receives from (signal.go).
+	running atomic.Int64
+	quiet   chan struct{}
 
 	stopMu     sync.Mutex
 	stopReason StopReason
@@ -196,7 +202,9 @@ type Runtime struct {
 	divMu    sync.Mutex
 	diverged bool
 	divInfo  string
-	attempt  int
+	// attempt is the current re-execution attempt (0 = recording); written
+	// under divMu, read lock-free by intercept.
+	attempt atomic.Int32
 
 	// intr latches the first non-nil error Options.Interrupt returned; the
 	// flag is the lock-free fast path for the per-interception poll.
@@ -260,6 +268,7 @@ func New(mod *tir.Module, opts Options) (*Runtime, error) {
 		os:         vsys.New(4321, opts.Seed),
 		opts:       opts,
 		shadows:    make(map[uint64]*syncVar),
+		quiet:      make(chan struct{}, 1),
 		monitorCh:  make(chan struct{}, 1),
 		shutdownCh: make(chan struct{}),
 		done:       make(chan struct{}),
@@ -334,6 +343,7 @@ func (rt *Runtime) newThread(fn int, arg uint64, hasArg bool) (*Thread, error) {
 		entryArg:  arg,
 		hasArg:    hasArg,
 		bornEpoch: rt.epochSeq,
+		wakeCh:    make(chan struct{}, 1),
 		startCh:   make(chan startMsg, 1),
 		doneCh:    make(chan struct{}),
 		delayRng:  rand.New(rand.NewSource(int64(id)*2654435761 + 97)),
@@ -384,7 +394,7 @@ func (rt *Runtime) blockFetchGate(tid int32, f func()) {
 			f()
 			t.releaseInternal(s)
 			t.list.Advance()
-			s.advanceTurn()
+			s.advanceTurn(rt)
 			return
 		}
 	}
@@ -417,6 +427,7 @@ func (rt *Runtime) Run() (*Report, error) {
 	rt.setPhase(phRecord)
 	go rt.monitor()
 	go main.trampoline()
+	main.setState(tsRunning) // counted before the hand-off, like every wake
 	main.startCh <- startMsg{kind: smStart}
 	<-rt.done
 
@@ -425,7 +436,7 @@ func (rt *Runtime) Run() (*Report, error) {
 	rt.errMu.Unlock()
 	rep := &Report{
 		Exit:   main.exitVal,
-		Stats:  rt.stats,
+		Stats:  rt.StatsSnapshot(),
 		Output: rt.Output(),
 	}
 	return rep, err
@@ -453,8 +464,18 @@ func (rt *Runtime) DetAllocator() *heap.Deterministic { return rt.det }
 // Module returns the program under execution.
 func (rt *Runtime) Module() *tir.Module { return rt.mod }
 
-// Stats returns a copy of the runtime counters.
-func (rt *Runtime) StatsSnapshot() Stats { return rt.stats }
+// StatsSnapshot returns a copy of the runtime counters.
+func (rt *Runtime) StatsSnapshot() Stats {
+	st := rt.stats
+	rt.mu.Lock()
+	for _, t := range rt.threads {
+		if t != nil {
+			st.Parks += t.parks.Load()
+		}
+	}
+	rt.mu.Unlock()
+	return st
+}
 
 // WatchHits drains the watchpoint hits collected during re-executions.
 func (rt *Runtime) WatchHits() []interp.WatchHit {
@@ -794,10 +815,10 @@ func (h *threadHooks) plainIntrinsic(id int64, args []uint64) (uint64, error) {
 			// arrival's critical section.
 			rt.notifySync(t.id, SyncBarrierRelease, s.addr)
 			rt.notifySync(t.id, SyncBarrierDepart, s.addr)
+			s.sleepers.wakeAll(rt)
 		}
 		s.mu.Unlock()
 		if released {
-			s.changed.Broadcast()
 			return serial, nil
 		}
 		// barrierSleep notifies the departure under s.mu.
@@ -814,6 +835,7 @@ func (h *threadHooks) plainIntrinsic(id int64, args []uint64) (uint64, error) {
 		}
 		rt.notifyThreadCreate(t.id, child.id)
 		go child.trampoline()
+		child.setState(tsRunning)
 		child.startCh <- startMsg{kind: smStart}
 		return uint64(child.id), nil
 	case tir.IntrinThreadJoin:

@@ -29,9 +29,14 @@ type syncVar struct {
 	id   int32
 	addr uint64
 
-	mu      sync.Mutex
-	changed bcast // mutex release / cond fuel / barrier generation
-	turnCh  bcast // replay turn advance
+	mu sync.Mutex
+	// sleepers wait for the variable to change (mutex release, cond fuel,
+	// barrier generation); turnSleepers for the replay turn to advance. A
+	// thread enlists under mu in the critical section that found its
+	// condition false, then parks; whoever changes the condition wakes the
+	// list under mu.
+	sleepers     waitList
+	turnSleepers waitList
 
 	// order is the per-variable list of Figure 4.
 	order *record.VarList
@@ -77,16 +82,17 @@ func (s *syncVar) restore(c varCkpt) {
 	s.locked, s.holder, s.waiters = c.locked, c.holder, c.waiters
 	s.fuel, s.parties, s.arrived, s.gen = c.fuel, c.parties, c.arrived, c.gen
 	s.order.ResetReplay()
+	// Rollback has unwound every thread; whoever is still listed is not
+	// waiting here any more.
+	s.sleepers, s.turnSleepers = s.sleepers[:0], s.turnSleepers[:0]
 	s.mu.Unlock()
-	s.changed.Broadcast()
-	s.turnCh.Broadcast()
 }
 
-func (s *syncVar) advanceTurn() {
+func (s *syncVar) advanceTurn(rt *Runtime) {
 	s.mu.Lock()
 	s.order.AdvanceTurn()
+	s.turnSleepers.wakeAll(rt)
 	s.mu.Unlock()
-	s.turnCh.Broadcast()
 }
 
 // loadVarWord / storeVarWord access the shadow-index cache word inside the
@@ -197,16 +203,13 @@ func (t *Thread) diverge(kind record.Kind, varAddr uint64, got *record.Event) er
 func (t *Thread) waitTurn(s *syncVar, pos int32) error {
 	rt := t.rt
 	for {
-		pch := rt.phaseCh.C()
 		switch rt.phase() {
 		case phRollback:
 			return interp.ErrUnwind
 		case phShutdown:
 			return errShutdown
 		case phReplayStopping, phStopping:
-			t.setState(tsStopped)
-			<-pch
-			t.setState(tsRunning)
+			t.park(tsStopped, waitInfo{})
 			continue
 		}
 		s.mu.Lock()
@@ -214,25 +217,19 @@ func (t *Thread) waitTurn(s *syncVar, pos int32) error {
 			s.mu.Unlock()
 			return nil
 		}
-		ch := s.turnCh.C()
+		s.turnSleepers.add(t)
 		s.mu.Unlock()
-		t.setState(tsBlocked)
-		select {
-		case <-ch:
-		case <-pch:
-		}
-		t.setState(tsRunning)
+		t.park(tsBlocked, waitInfo{kind: wkTurn, s: s, pos: pos})
 	}
 }
 
 // acquire takes the underlying mutex, interruptibly (§3.3: threads blocked
-// on lock acquisition must still be stoppable; because our waits select on
-// the phase channel, the paper's temporary-release trick is unnecessary —
-// blocked waiters already count as quiescent and wake on any phase change).
+// on lock acquisition must still be stoppable; because every park is also
+// woken by a phase change, the paper's temporary-release trick is
+// unnecessary — blocked waiters already count as quiescent).
 func (t *Thread) acquire(s *syncVar) error {
 	rt := t.rt
 	for {
-		pch := rt.phaseCh.C()
 		switch rt.phase() {
 		case phRollback:
 			return interp.ErrUnwind
@@ -249,14 +246,9 @@ func (t *Thread) acquire(s *syncVar) error {
 			s.mu.Unlock()
 			return nil
 		}
-		ch := s.changed.C()
+		s.sleepers.add(t)
 		s.mu.Unlock()
-		t.setState(tsBlocked)
-		select {
-		case <-ch:
-		case <-pch:
-		}
-		t.setState(tsRunning)
+		t.park(tsBlocked, waitInfo{kind: wkMutex, s: s})
 	}
 }
 
@@ -273,8 +265,8 @@ func (t *Thread) releaseInternal(s *syncVar) error {
 	// Under s.mu, so the release is observed before any subsequent
 	// acquisition of the same variable.
 	t.rt.notifySync(t.id, SyncRelease, s.addr)
+	s.sleepers.wakeAll(t.rt)
 	s.mu.Unlock()
-	s.changed.Broadcast()
 	return nil
 }
 
@@ -310,7 +302,7 @@ func (t *Thread) lockRecorded(s *syncVar) error {
 				return err
 			}
 			t.list.Advance()
-			s.advanceTurn()
+			s.advanceTurn(rt)
 			return nil
 		}
 		// nextReplayEvent switched the world back to recording: fall
@@ -376,7 +368,7 @@ func (t *Thread) mutexTryLock(addr uint64) (uint64, error) {
 				return 0, err
 			}
 			t.list.Advance()
-			s.advanceTurn()
+			s.advanceTurn(rt)
 			return 1, nil
 		}
 	}
@@ -447,7 +439,7 @@ func (t *Thread) condWait(caddr, maddr uint64) error {
 				return err
 			}
 			t.list.Advance()
-			c.advanceTurn()
+			c.advanceTurn(rt)
 			t.block = blockInfo{}
 			return t.lockRecorded(m)
 		}
@@ -479,7 +471,6 @@ func (t *Thread) condWait(caddr, maddr uint64) error {
 func (t *Thread) condConsume(c *syncVar, pos int32) error {
 	rt := t.rt
 	for {
-		pch := rt.phaseCh.C()
 		switch rt.phase() {
 		case phRollback:
 			return interp.ErrUnwind
@@ -495,16 +486,12 @@ func (t *Thread) condConsume(c *syncVar, pos int32) error {
 			c.mu.Unlock()
 			return nil
 		}
-		ch := c.changed.C()
-		tch := c.turnCh.C()
-		c.mu.Unlock()
-		t.setState(tsBlocked)
-		select {
-		case <-ch:
-		case <-tch:
-		case <-pch:
+		c.sleepers.add(t)
+		if pos >= 0 {
+			c.turnSleepers.add(t)
 		}
-		t.setState(tsRunning)
+		c.mu.Unlock()
+		t.park(tsBlocked, waitInfo{kind: wkCond, s: c, pos: pos})
 	}
 }
 
@@ -529,8 +516,8 @@ func (t *Thread) condSignal(addr uint64, broadcast bool) error {
 	// A signal publishes the signaller's prior work to whichever waiter
 	// consumes the fuel; notify under c.mu so it precedes that wake.
 	t.rt.notifySync(t.id, SyncSignal, c.addr)
+	c.sleepers.wakeAll(t.rt)
 	c.mu.Unlock()
-	c.changed.Broadcast()
 	return nil
 }
 
@@ -611,11 +598,10 @@ func (t *Thread) barrierWait(addr uint64) (uint64, error) {
 		// between.
 		rt.notifySync(t.id, SyncBarrierRelease, s.addr)
 		rt.notifySync(t.id, SyncBarrierDepart, s.addr)
+		s.sleepers.wakeAll(rt)
 	}
 	s.mu.Unlock()
-	if released {
-		s.changed.Broadcast()
-	} else {
+	if !released {
 		t.block = blockInfo{kind: bkBarrier, vaddr: addr}
 		if err := t.barrierSleep(s, myGen); err != nil {
 			return 0, err
@@ -634,7 +620,6 @@ func (t *Thread) barrierWait(addr uint64) (uint64, error) {
 func (t *Thread) barrierSleep(s *syncVar, myGen int64) error {
 	rt := t.rt
 	for {
-		pch := rt.phaseCh.C()
 		switch rt.phase() {
 		case phRollback:
 			return interp.ErrUnwind
@@ -649,14 +634,9 @@ func (t *Thread) barrierSleep(s *syncVar, myGen int64) error {
 			s.mu.Unlock()
 			return nil
 		}
-		ch := s.changed.C()
+		s.sleepers.add(t)
 		s.mu.Unlock()
-		t.setState(tsBlocked)
-		select {
-		case <-ch:
-		case <-pch:
-		}
-		t.setState(tsRunning)
+		t.park(tsBlocked, waitInfo{kind: wkBarrier, s: s})
 	}
 }
 
@@ -703,7 +683,7 @@ func (t *Thread) threadCreate(fn int64, arg uint64) (uint64, error) {
 			child.setState(tsRunning)
 			child.startCh <- startMsg{kind: smStart}
 			t.list.Advance()
-			cv.advanceTurn()
+			cv.advanceTurn(rt)
 			return uint64(child.id), nil
 		}
 	}
@@ -770,22 +750,19 @@ func (t *Thread) threadJoin(tid uint64) (uint64, error) {
 func (t *Thread) waitExit(child *Thread) error {
 	rt := t.rt
 	for {
-		pch := rt.phaseCh.C()
 		switch rt.phase() {
 		case phRollback:
 			return interp.ErrUnwind
 		case phShutdown:
 			return errShutdown
 		}
-		ech := child.exitWake.C()
+		child.exitMu.Lock()
 		if child.state.Load() == tsExited {
+			child.exitMu.Unlock()
 			return nil
 		}
-		t.setState(tsBlocked)
-		select {
-		case <-ech:
-		case <-pch:
-		}
-		t.setState(tsRunning)
+		child.joiners.add(t)
+		child.exitMu.Unlock()
+		t.park(tsBlocked, waitInfo{kind: wkJoin, on: child})
 	}
 }

@@ -152,9 +152,11 @@ func TestCondVarIdenticalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Run(); err != nil {
+	rep, err := rt.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoRetry(t, rt, rep.Stats)
 	if img1 == nil || img2 == nil {
 		t.Fatal("replay did not complete")
 	}
@@ -262,9 +264,11 @@ func TestBarrierIdenticalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Run(); err != nil {
+	rep, err := rt.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
+	requireNoRetry(t, rt, rep.Stats)
 	if d := mem.DiffBytes(img1, img2); d != 0 {
 		t.Fatalf("barrier replay not identical: %d bytes differ", d)
 	}
@@ -372,6 +376,7 @@ func TestTryLockIdenticalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	exitOrig = rep.Exit
+	requireNoRetry(t, rt, rep.Stats)
 	if img1 == nil || img2 == nil {
 		t.Fatal("replay did not complete")
 	}

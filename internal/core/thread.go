@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,12 +15,15 @@ import (
 // Thread states. Any state other than tsRunning counts as quiescent for the
 // stop-the-world protocol (§3.3): a non-running thread cannot change program
 // state, and once every thread is non-running nobody can wake anybody.
+// Runtime.running counts the threads in tsRunning (signal.go). tsBlocked and
+// tsStopped are entered only through Thread.park; in tsEmbryo, tsExited and
+// tsUnwound the goroutine waits at its trampoline for a start message.
 const (
 	tsEmbryo  int32 = iota // goroutine exists, body not started (replay: awaits its create event)
-	tsRunning              // executing TIR
-	tsBlocked              // waiting on a synchronization condition or replay turn
+	tsRunning              // executing TIR, or runnable: a waker has counted it
+	tsBlocked              // parked on a synchronization condition or replay turn
 	tsStopped              // parked for an epoch stop or replay completion
-	tsExited               // body finished; kept alive to preserve ID and stack (§3.2.1)
+	tsExited               // body finished; kept alive at the trampoline to preserve ID and stack (§3.2.1)
 	tsUnwound              // rolled back; waiting at the trampoline for a restart message
 	tsDead                 // reclaimed
 )
@@ -34,10 +38,8 @@ var errThreadExit = errors.New("core: thread exit")
 type startKind int
 
 const (
-	smStart      startKind = iota // run the body from its entry function
-	smResume                      // restore a checkpointed context and re-run (rollback)
-	smParkExited                  // re-park as exited (rollback of a thread that had exited before the checkpoint)
-	smShutdown                    // terminate the goroutine
+	smStart  startKind = iota // run the body from its entry function
+	smResume                  // restore a checkpointed context and re-run (rollback)
 )
 
 type startMsg struct {
@@ -81,7 +83,21 @@ type Thread struct {
 	// re-released by their parent's replayed create event (§3.5.1).
 	bornEpoch int64
 
+	// state is stored only by setStateLocked (signal.go), which keeps
+	// Runtime.running in step with it.
 	state atomic.Int32
+
+	// pk orders this thread's park against every wake aimed at it; a leaf
+	// lock. The thread is parked — asleep on wakeCh — exactly while its state
+	// is tsBlocked or tsStopped. token: a wake arrived while the thread was
+	// not parked, and its next park returns at once.
+	pk     sync.Mutex
+	token  bool
+	wakeCh chan struct{}
+	// waiting describes the current park for stall verdicts; parks counts
+	// the times the thread actually slept (Stats.Parks).
+	waiting waitInfo
+	parks   atomic.Int64
 
 	startCh chan startMsg
 	doneCh  chan struct{}
@@ -90,8 +106,12 @@ type Thread struct {
 	exitVal uint64
 	// joined marks a completed join; the joinee is reclaimed at the next
 	// epoch boundary (§3.1 housekeeping).
-	joined   bool
-	exitWake bcast
+	joined bool
+	// joiners are the threads parked in waitExit on this thread. exitMu
+	// guards the list and makes "wake the joiners, then become tsExited" one
+	// step as seen from waitExit.
+	exitMu  sync.Mutex
+	joiners waitList
 
 	// block mirrors the thread's current position inside a blocking
 	// primitive; captured at checkpoint, restored on rollback.
@@ -117,33 +137,18 @@ type Thread struct {
 	faulted error
 }
 
-func (t *Thread) setState(s int32) {
-	t.state.Store(s)
-	t.rt.activity.Add(1)
-}
-
 // ID returns the thread's identifier.
 func (t *Thread) ID() int32 { return t.id }
 
 // trampoline is the goroutine body: it runs the thread's TIR body and, after
 // a rollback, restores a checkpointed context and runs again — the in-situ
-// re-execution loop of Figure 2.
+// re-execution loop of Figure 2. Between bodies — as an embryo, unwound, or
+// exited and kept alive for its ID and stack (§3.2.1) — the goroutine waits
+// here for the next message; reclamation and shutdown close the channel.
 func (t *Thread) trampoline() {
 	defer close(t.doneCh)
 	for msg := range t.startCh {
 		switch msg.kind {
-		case smShutdown:
-			t.setState(tsDead)
-			return
-		case smParkExited:
-			// Rollback of a thread that had already exited before the
-			// checkpoint: nothing to re-execute, return to the keep-alive
-			// park with its exit value intact.
-			t.faulted = nil
-			t.setState(tsExited)
-			t.exitWake.Broadcast()
-			t.parkExited()
-			continue
 		case smStart:
 			var args []uint64
 			if t.hasArg {
@@ -159,6 +164,8 @@ func (t *Thread) trampoline() {
 			t.block = msg.block
 			t.faulted = nil
 		}
+		// Whoever sent msg has already counted this thread running; a repeated
+		// mark is not a transition.
 		t.setState(tsRunning)
 		err := t.cpu.Run()
 		switch {
@@ -183,9 +190,9 @@ func (t *Thread) trampoline() {
 	}
 }
 
-// exitPath implements thread termination for both recording and replay, then
-// parks the thread alive until reclamation or rollback (§3.2.1: joinee
-// threads wait on a condition variable, preserving IDs and stacks).
+// exitPath implements thread termination for both recording and replay; the
+// thread then returns to its trampoline, alive until reclamation or rollback
+// (§3.2.1: joinee threads are kept, preserving IDs and stacks).
 func (t *Thread) exitPath(val uint64) {
 	rt := t.rt
 	t.exitVal = val
@@ -217,34 +224,18 @@ func (t *Thread) exitPath(val uint64) {
 	// Before the exited state becomes visible, so a joiner's callbacks
 	// observe the exit first.
 	rt.notifyThreadExit(t.id)
-	t.setState(tsExited)
-	t.exitWake.Broadcast()
 	if t.id == 0 && !rt.phaseIs(phReplay) {
 		// Main returning terminates the program: close the final epoch.
-		// During replay the monitor observes quiescence instead.
+		// During replay the coordinator observes quiescence instead. Requested
+		// while main is still counted running, like every other wake.
 		rt.requestStop(StopProgramEnd, t.id)
 	}
-	t.parkExited()
-}
-
-// parkExited holds an exited thread alive — preserving its ID and stack
-// (§3.2.1) — until it is reclaimed, rolled back, or the program ends.
-func (t *Thread) parkExited() {
-	rt := t.rt
-	for {
-		pch := rt.phaseCh.C()
-		if t.state.Load() == tsDead {
-			return // reclaimed by epoch housekeeping (§3.1)
-		}
-		switch rt.phase() {
-		case phRollback:
-			t.setState(tsUnwound)
-			return
-		case phShutdown:
-			return
-		}
-		<-pch
-	}
+	// Joiners are counted running before this thread stops being counted, so
+	// the exit cannot take the count through zero with a joiner runnable.
+	t.exitMu.Lock()
+	t.joiners.wakeAll(rt)
+	t.setState(tsExited)
+	t.exitMu.Unlock()
 }
 
 // phase helpers -------------------------------------------------------------
@@ -254,7 +245,8 @@ func (t *Thread) parkExited() {
 // request before any interceptable operation). It parks the thread during
 // stops and unwinds it during rollbacks. During replay retries it inserts
 // the paper's random delays at gated points to perturb racy timing without
-// changing the recorded order (§3.5.2).
+// changing the recorded order (§3.5.2). The proceed path is the interrupt
+// poll and one atomic load of the phase.
 func (t *Thread) intercept() error {
 	rt := t.rt
 	if rt.opts.Interrupt != nil && rt.pollInterrupt() != nil {
@@ -268,25 +260,23 @@ func (t *Thread) intercept() error {
 		}
 		rt.requestStop(StopTool, t.id)
 	}
-	if rt.phase() == phReplay && rt.replayAttempt() > 1 && rt.opts.DelayOnDivergence {
-		if t.delayRng.Intn(4) == 0 {
-			time.Sleep(time.Duration(t.delayRng.Intn(50)+1) * time.Microsecond) //ir:wallclock divergence delay injection is host-time by design
-		}
+	ph := rt.phase()
+	if ph == phReplay && rt.opts.DelayOnDivergence && rt.attempt.Load() > 1 && t.delayRng.Intn(4) == 0 {
+		time.Sleep(time.Duration(t.delayRng.Intn(50)+1) * time.Microsecond) //ir:wallclock divergence delay injection is host-time by design
+		ph = rt.phase()
 	}
 	for {
-		pch := rt.phaseCh.C()
-		switch rt.phase() {
+		switch ph {
 		case phRecord, phReplay:
 			return nil
 		case phStopping, phReplayStopping:
-			t.setState(tsStopped)
-			<-pch
-			t.setState(tsRunning)
+			t.park(tsStopped, waitInfo{})
 		case phRollback:
 			return interp.ErrUnwind
 		case phShutdown:
 			return errShutdown
 		}
+		ph = rt.phase()
 	}
 }
 
@@ -298,16 +288,13 @@ func (t *Thread) intercept() error {
 func (t *Thread) parkBoundary() error {
 	rt := t.rt
 	for {
-		pch := rt.phaseCh.C()
 		switch rt.phase() {
 		case phRollback:
 			return interp.ErrUnwind
 		case phShutdown:
 			return errShutdown
 		}
-		t.setState(tsStopped)
-		<-pch
-		t.setState(tsRunning)
+		t.park(tsStopped, waitInfo{})
 	}
 }
 
@@ -317,7 +304,6 @@ func (t *Thread) parkBoundary() error {
 func (t *Thread) parkReplayDone() error {
 	rt := t.rt
 	for {
-		pch := rt.phaseCh.C()
 		switch rt.phase() {
 		case phRecord:
 			return nil // matched replay; continue recording with this op
@@ -325,11 +311,8 @@ func (t *Thread) parkReplayDone() error {
 			return interp.ErrUnwind
 		case phShutdown:
 			return errShutdown
-		case phReplay, phReplayStopping, phStopping:
-			t.setState(tsStopped)
-			<-pch
-			t.setState(tsRunning)
 		}
+		t.park(tsStopped, waitInfo{})
 	}
 }
 

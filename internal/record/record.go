@@ -98,11 +98,9 @@ type Event struct {
 type ThreadList struct {
 	events []Event
 	n      int // recorded
-	// r is the replay cursor. Only the owning thread moves it, but the epoch
-	// coordinator reads it (Replayed) once it has inferred from spaced
-	// observations that the world is quiescent — an inference a busy host
-	// can falsify, which the coordinator's grace period allows for — so the
-	// cursor is atomic rather than ordered by the park handshake.
+	// r is the replay cursor. Only the owning thread moves it; the epoch
+	// coordinator reads it (Replayed) once the runtime's running-thread count
+	// is zero, and tools may read it at any time, hence atomic.
 	r atomic.Int64
 }
 

@@ -119,6 +119,14 @@ func TestEntryPointsAgree(t *testing.T) {
 			for i, r := range rs {
 				outputs[i] = r.Report.Output
 			}
+			// The programs are race-free: every replay matches at its first
+			// attempt, on any host. A retry is a stall verdict on a healthy
+			// replay.
+			if rbStats.Attempts != 1 || abStats.Attempts != 1 ||
+				rsStats.Attempts != int64(len(rs)) || asStats.Attempts != int64(len(rs)) {
+				t.Errorf("replay attempts: batch %d, analyze %d, segments %d, segment-analyze %d; want 1, 1, %d, %d",
+					rbStats.Attempts, abStats.Attempts, rsStats.Attempts, asStats.Attempts, len(rs), len(rs))
+			}
 			views := []struct {
 				entry  string
 				exit   uint64

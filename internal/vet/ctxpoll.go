@@ -12,10 +12,12 @@ package vet
 //     //ir:noctx <reason>.
 //
 //  2. In the configured runtime packages (internal/core), an unbounded
-//     wait loop — `for`/`for cond` whose body blocks on a condition
-//     variable, channel, select, sleep, or yield — must poll interruption
-//     inside the loop: a pollInterrupt()/Interrupt call, or ctx.Err()/
-//     ctx.Done(). Classic three-clause counted loops are exempt (bounded),
+//     wait loop — `for`/`for cond` whose body blocks on the runtime's park
+//     primitive, a condition variable, channel, select, sleep, or yield —
+//     must poll interruption inside the loop: a pollInterrupt()/Interrupt
+//     call, ctx.Err()/ctx.Done(), or a re-read of the runtime phase() (every
+//     phase change wakes every parked thread, and shutdown is a phase).
+//     Classic three-clause counted loops are exempt (bounded),
 //     as are loops annotated //ir:nopoll <reason> — the reviewed list of
 //     waits that are woken by the quiescence protocol itself and must NOT
 //     unwind on interrupt mid-handshake.
@@ -185,8 +187,9 @@ func runCtxPollLoops(pass *Pass) {
 	})
 }
 
-// loopBlocks reports whether the loop body waits: condition-variable waits,
-// channel operations, selects, sleeps, or scheduler yields.
+// loopBlocks reports whether the loop body waits: parks through the
+// runtime's park primitive, condition-variable waits, channel operations,
+// selects, sleeps, or scheduler yields.
 func loopBlocks(pass *Pass, body *ast.BlockStmt) bool {
 	blocks := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -210,6 +213,8 @@ func loopBlocks(pass *Pass, body *ast.BlockStmt) bool {
 				return true
 			}
 			switch {
+			case f.Name() == "park" && recvNamed(f) != nil:
+				blocks = true
 			case funcPkgPath(f) == "time" && f.Name() == "Sleep":
 				blocks = true
 			case funcPkgPath(f) == "runtime" && f.Name() == "Gosched":
@@ -225,10 +230,10 @@ func loopBlocks(pass *Pass, body *ast.BlockStmt) bool {
 
 // loopPolls reports whether the loop consults interruption: a call to a
 // function or method named pollInterrupt, a use of an Interrupt field or
-// callback, ctx.Err()/ctx.Done(), or the runtime's phase-channel protocol —
-// a loop that switches on phase() and selects on phaseCh returns on
-// phShutdown, which is exactly how cancellation reaches parked threads
-// (shutdown flips the phase and broadcasts the channel).
+// callback, ctx.Err()/ctx.Done(), or the runtime's park protocol — a loop
+// that parks and re-reads phase() returns on phRollback and phShutdown,
+// which is exactly how cancellation reaches parked threads (shutdown stores
+// the phase and wakes every thread).
 func loopPolls(pass *Pass, loop *ast.ForStmt) bool {
 	polls := false
 	check := func(n ast.Node) bool {
@@ -237,7 +242,7 @@ func loopPolls(pass *Pass, loop *ast.ForStmt) bool {
 		}
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if n.Sel.Name == "Interrupt" || n.Sel.Name == "phaseCh" {
+			if n.Sel.Name == "Interrupt" {
 				polls = true
 			}
 		case *ast.CallExpr:

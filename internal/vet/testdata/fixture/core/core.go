@@ -57,6 +57,25 @@ func waitPhase(r *runtime, ch chan int) {
 	}
 }
 
+type thread struct{ r *runtime }
+
+func (t *thread) park(state int) {}
+
+func parkDeaf(t *thread) {
+	for { //!want ctxpoll
+		t.park(1)
+	}
+}
+
+func parkPhase(t *thread) {
+	for {
+		if t.r.phase() == 1 {
+			return
+		}
+		t.park(1)
+	}
+}
+
 func waitBounded(ch chan int) {
 	for i := 0; i < 10; i++ {
 		<-ch
