@@ -2,7 +2,7 @@
 // replay-identity harness (internal/gen): each seed deterministically
 // draws a small multithreaded program, records it, and checks whole-trace
 // replay identity, segment stitching, analyzer ground truth, and identity
-// across compression, compaction, and a flight-ring spill.
+// across compaction and a flight-ring spill.
 //
 //	ir-fuzz -seeds 200 -workers 4            # CI-style batch, race-free
 //	ir-fuzz -seeds 500 -racy-every 4         # every 4th seed plants a race

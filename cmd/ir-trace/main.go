@@ -92,12 +92,12 @@ func main() {
 func usage() {
 	fmt.Fprint(os.Stderr, `usage: ir-trace <record|replay|ls|verify|analyze|compact|rm|gc|pin|unpin|salvage|timeline> [flags]
 
-  record   -app NAME [-name N] [-dir D] [-scale S] [-seed N] [-eventcap N] [-checkpoint-every N] [-keyframe-every K] [-compress] [-flight N]
+  record   -app NAME [-name N] [-dir D] [-scale S] [-seed N] [-eventcap N] [-checkpoint-every N] [-flight N]
   replay   -name N [-dir D] [-n COPIES] [-workers W] [-max-replays N] [-delay] [-segments]
   ls       [-dir D] [-json]
   verify   -name N [-dir D]
   analyze  -name N | -all [-dir D] [-analyzers race,leak] [-segments] [-workers W] [-json]
-  compact  -name N [-dir D] [-keyframe-every K]   rewrite compressed + re-keyframed, in place
+  compact  -name N [-dir D]                       rewrite compressed + re-keyframed, in place
   rm       -name N [-dir D]                       delete a stored trace (and its pin)
   gc       [-dir D] [-max-mb N] [-max-age DUR]    enforce a retention policy (pins exempt)
   pin      -name N [-dir D]                       shield a trace from gc
@@ -126,10 +126,6 @@ func cmdRecord(args []string) error {
 	eventCap := fs.Int("eventcap", 0, "per-thread event list size (0 = default)")
 	ckptEvery := fs.Int("checkpoint-every", 0,
 		"persist a checkpoint frame every N epochs (0 = none); checkpointed traces replay segment-parallel")
-	keyEvery := fs.Int("keyframe-every", 0,
-		"make every K-th checkpoint frame a full-image keyframe (0 = writer default)")
-	compress := fs.Bool("compress", false,
-		"deflate epoch and checkpoint frame bodies as they are written")
 	flightN := fs.Int("flight", 0,
 		"flight-recorder mode: retain roughly the last N epochs in a bounded ring and store only that suffix (0 = record the whole run)")
 	fs.Parse(args)
@@ -148,8 +144,6 @@ func cmdRecord(args []string) error {
 		Seed:            *seed,
 		EventCap:        *eventCap,
 		CheckpointEvery: *ckptEvery,
-		KeyframeEvery:   *keyEvery,
-		Compress:        *compress,
 		FlightEpochs:    *flightN,
 	}, nil)
 	if err != nil {
@@ -502,8 +496,6 @@ func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	name := fs.String("name", "", "trace to compact")
 	dir := fs.String("dir", "traces", "trace store directory")
-	keyEvery := fs.Int("keyframe-every", 0,
-		"keyframe interval of the rewritten checkpoint chain (0 = writer default)")
 	fs.Parse(args)
 	if *name == "" {
 		return fmt.Errorf("compact: -name is required")
@@ -513,7 +505,7 @@ func cmdCompact(args []string) error {
 		return err
 	}
 	start := time.Now()
-	cs, err := st.Compact(*name, *keyEvery)
+	cs, err := st.Compact(*name)
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,8 @@ import (
 	"repro"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/record"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -36,18 +36,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := rt.Run(); err != nil {
+	rep, err := rt.Run()
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("recorded %d epoch(s); replaying with the race analyzer attached\n", len(epochs))
 
-	// Analyze: one deterministic re-execution with the analyzer observing
-	// every sync edge and memory access.
-	race := analysis.NewRaceDetector()
-	if _, _, err := analysis.Run(mod, epochs, core.Options{}, nil, race); err != nil {
-		log.Fatal(err)
+	// Analyze: one deterministic re-execution through the trace executor —
+	// the path ir-trace analyze takes — with the analyzer observing every
+	// sync edge and memory access.
+	h := trace.OpenTrace(&trace.Trace{
+		Header:  trace.Header{ModuleHash: ireplayer.Fingerprint(mod)},
+		Epochs:  epochs,
+		Summary: &trace.Summary{Exit: rep.Exit, Output: rep.Output},
+	})
+	res, _ := trace.AnalyzeBatch([]trace.AnalyzeJob{{
+		Job: trace.Job{Name: "race-counter", Module: mod, Handle: h},
+		NewAnalyzers: func() []analysis.Analyzer {
+			return []analysis.Analyzer{analysis.NewRaceDetector()}
+		},
+	}}, 1)
+	if res[0].Err != nil {
+		log.Fatal(res[0].Err)
 	}
-	findings := race.Findings()
+	findings := res[0].Findings
 	if len(findings) == 0 {
 		log.Fatal("race not detected")
 	}

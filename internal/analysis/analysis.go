@@ -27,15 +27,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/interp"
-	"repro/internal/record"
-	"repro/internal/tir"
 )
 
 // Analyzer is one pluggable replay-time analysis. Implementations also
 // implement whichever core observer interfaces (SyncObserver,
-// AccessObserver, AllocObserver, ...) they need; Run attaches them to the
-// replay runtime, drives the re-execution, then calls Finish for
-// whole-state passes (reachability scans) before collecting findings.
+// AccessObserver, AllocObserver, ...) they need; the trace executor
+// (trace.AnalyzeBatch, trace.AnalyzeSegments) attaches them to the replay
+// runtime, drives the re-execution, then calls Finish for whole-state passes
+// (reachability scans) before collecting findings (Collect).
 type Analyzer interface {
 	core.Observer
 	// Name identifies the analyzer ("race", "leak", ...).
@@ -109,42 +108,6 @@ func (f Finding) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// Run re-executes a recorded epoch sequence once with every analyzer
-// attached, then collects their findings. opts is interpreted as for
-// core.PrepareReplay (allocator selection and list capacities must match the
-// recording); setup recreates recording-time virtual-OS state and may be
-// nil. A trace that recorded a fault reproduces the fault, which is
-// returned as err alongside the report and findings — analysis of crashing
-// executions is the prime use case, not an error.
-func Run(mod *tir.Module, epochs []*record.EpochLog, opts core.Options,
-	setup func(*core.Runtime) error, analyzers ...Analyzer) (*core.Report, []Finding, error) {
-	// Copy before attaching: the caller's Observers slice may share its
-	// backing array with concurrent jobs (trace.Fanout clones do), and an
-	// append into spare capacity would hand one job another job's analyzer.
-	observers := append([]core.Observer(nil), opts.Observers...)
-	for _, a := range analyzers {
-		observers = append(observers, a)
-	}
-	opts.Observers = observers
-	rt, err := core.PrepareReplay(mod, epochs, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if setup != nil {
-		if err := setup(rt); err != nil {
-			rt.Shutdown()
-			return nil, nil, err
-		}
-	}
-	rep, runErr := rt.RunReplay()
-	if rep == nil {
-		// The replay never matched; there is no execution to report on.
-		return nil, nil, runErr
-	}
-	findings, err := Collect(rt, analyzers, runErr)
-	return rep, findings, err
 }
 
 // Collect runs every analyzer's Finish pass against the completed replay's

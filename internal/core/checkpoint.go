@@ -12,7 +12,7 @@ package core
 //
 // This file exports the checkpoint so the trace layer can persist it
 // (Options.CheckpointEvery / Options.CheckpointSink, checkpoint frames), and
-// implements the inverse: PrepareReplayAt rebuilds a runtime *mid-trace*
+// implements the inverse: PrepareReplayFlatAt rebuilds a runtime *mid-trace*
 // from a persisted checkpoint, so one long trace becomes independently
 // replayable segments whose divergence retries roll back to the segment
 // start — the paper's in-situ replay bound, recovered offline. A segment's
@@ -29,7 +29,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/mem"
 	"repro/internal/record"
-	"repro/internal/tir"
 	"repro/internal/vsys"
 )
 
@@ -148,19 +147,6 @@ func (rt *Runtime) checkpointDue() bool {
 		return false
 	}
 	return (rt.epochSeq-1)%int64(rt.opts.CheckpointEvery) == 0
-}
-
-// PrepareReplayAt builds a runtime primed to re-execute epochs start.Epoch..j
-// of a trace from the persisted checkpoint start, instead of from program
-// start: PrepareReplayFlatAt over a decoded epoch slice. A nil start replays
-// from program start (the trace's first segment); end, when non-nil, is the
-// next checkpoint the segment must land on.
-func PrepareReplayAt(mod *tir.Module, start *Checkpoint, epochs []*record.EpochLog, end *Checkpoint, opts Options) (*Runtime, error) {
-	fl, err := flattenEpochs(epochs)
-	if err != nil {
-		return nil, err
-	}
-	return PrepareReplayFlatAt(mod, start, fl, end, opts)
 }
 
 // primeAtCheckpoint rebuilds the world mid-trace from the persisted

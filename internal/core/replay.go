@@ -23,9 +23,8 @@ package core
 //     a diverged attempt restarts the program exactly like an in-situ retry
 //     restarts an epoch.
 //
-// PrepareReplay builds the primed runtime (callers may still populate the
-// virtual OS with the workload's input files), RunReplay drives it, and
-// ReplayFromTrace is the one-call convenience wrapper.
+// PrepareReplayFlatAt builds the primed runtime (callers may still populate
+// the virtual OS with the workload's input files) and RunReplay drives it.
 
 import (
 	"errors"
@@ -48,7 +47,15 @@ import (
 // the caveat that epoch observers never fire offline (there are no epoch
 // boundaries to re-enact).
 func PrepareReplay(mod *tir.Module, epochs []*record.EpochLog, opts Options) (*Runtime, error) {
-	return PrepareReplayAt(mod, nil, epochs, nil, opts)
+	f := record.NewFlattener()
+	for _, ep := range epochs {
+		f.Add(ep)
+	}
+	fl, err := f.Flat()
+	if err != nil {
+		return nil, err
+	}
+	return PrepareReplayFlatAt(mod, nil, fl, nil, opts)
 }
 
 // PrepareReplayFlat is PrepareReplay for an already flattened trace: callers
@@ -60,26 +67,17 @@ func PrepareReplayFlat(mod *tir.Module, fl *record.Flat, opts Options) (*Runtime
 	return PrepareReplayFlatAt(mod, nil, fl, nil, opts)
 }
 
-// flattenEpochs folds a decoded epoch slice into the flattened form the one
-// constructor takes.
-func flattenEpochs(epochs []*record.EpochLog) (*record.Flat, error) {
-	f := record.NewFlattener()
-	for _, ep := range epochs {
-		f.Add(ep)
-	}
-	return f.Flat()
-}
-
-// PrepareReplayFlatAt is the one offline-replay constructor; PrepareReplay,
-// PrepareReplayFlat and PrepareReplayAt are wrappers over it. It builds a
-// runtime primed to re-execute the flattened epoch range fl — from program
-// start when start is nil, otherwise resuming mid-trace from the persisted
-// checkpoint start, whose epoch fl must begin at. end, when non-nil, is the
-// checkpoint that closes the range: every thread is armed to stop at its
-// recorded instruction position, and RunReplay verifies the end memory
-// image byte-matches end before reporting success. Divergence retries roll
-// back to the range's start (program start or the checkpoint) — the paper's
-// one-epoch replay bound, recovered offline.
+// PrepareReplayFlatAt is the one offline-replay constructor, the one the
+// trace executor (trace/exec.go) calls; PrepareReplay and PrepareReplayFlat
+// are its program-start forms. It builds a runtime primed to re-execute the
+// flattened epoch range fl — from program start when start is nil,
+// otherwise resuming mid-trace from the persisted checkpoint start, whose
+// epoch fl must begin at. end, when non-nil, is the checkpoint that closes
+// the range: every thread is armed to stop at its recorded instruction
+// position, and RunReplay verifies the end memory image byte-matches end
+// before reporting success. Divergence retries roll back to the range's
+// start (program start or the checkpoint) — the paper's one-epoch replay
+// bound, recovered offline.
 //
 // Options are interpreted as for PrepareReplay; Mem geometry, the allocator
 // selection, EventCap/VarCap and Seed must match the recording run.
@@ -341,22 +339,4 @@ func (rt *Runtime) RunReplay() (*Report, error) {
 	_, ferr := rt.FaultedThread()
 	rt.shutdown()
 	return rep, ferr
-}
-
-// ReplayFromTrace loads a recorded epoch sequence and re-executes it from
-// program start: PrepareReplay + optional OS setup + RunReplay. setup, when
-// non-nil, runs before execution and recreates environment the recording run
-// had (typically the workload's input files).
-func ReplayFromTrace(mod *tir.Module, epochs []*record.EpochLog, opts Options, setup func(*Runtime) error) (*Report, error) {
-	rt, err := PrepareReplay(mod, epochs, opts)
-	if err != nil {
-		return nil, err
-	}
-	if setup != nil {
-		if err := setup(rt); err != nil {
-			rt.shutdown()
-			return nil, err
-		}
-	}
-	return rt.RunReplay()
 }

@@ -225,7 +225,7 @@ type Runtime struct {
 	// re-emitted (there is no original execution to duplicate) and recorded
 	// opens materialized through the virtual OS.
 	offline bool
-	// segStart/segEnd bound a segment replay built by PrepareReplayAt:
+	// segStart/segEnd bound a segment replay built by PrepareReplayFlatAt:
 	// segStart is the restored checkpoint RunReplay resumes from (nil when
 	// replaying from program start), segEnd the next checkpoint the end
 	// state must byte-match (nil for the trace's final segment).

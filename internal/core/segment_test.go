@@ -47,11 +47,15 @@ func TestConcurrentSegmentsShareOneCheckpoint(t *testing.T) {
 	}
 
 	start, end := cks[len(cks)/2-1], cks[len(cks)/2]
-	var seg []*record.EpochLog
+	f := record.NewFlattener()
 	for _, ep := range epochs {
 		if ep.Epoch >= start.Epoch && ep.Epoch < end.Epoch {
-			seg = append(seg, ep)
+			f.Add(ep)
 		}
+	}
+	seg, err := f.Flat()
+	if err != nil {
+		t.Fatal(err)
 	}
 	encode := func(ck *Checkpoint) []byte {
 		b, err := mem.AppendSnapshotDelta(nil, nil, ck.Snap)
@@ -64,7 +68,7 @@ func TestConcurrentSegmentsShareOneCheckpoint(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		rt, err := PrepareReplayAt(mod, start, seg, end, opts)
+		rt, err := PrepareReplayFlatAt(mod, start, seg, end, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,8 +220,11 @@ func TestOfflineReplayReproducesFault(t *testing.T) {
 			StopReason(epochs[len(epochs)-1].Reason))
 	}
 
-	_, err = ReplayFromTrace(build(), epochs, Options{MaxReplays: 10}, nil)
-	if err == nil {
+	rrt, err := PrepareReplay(build(), epochs, Options{MaxReplays: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rrt.RunReplay(); err == nil {
 		t.Fatal("offline replay did not reproduce the fault")
 	}
 }

@@ -17,8 +17,8 @@ package gen
 //	    path (per-segment tapes folded through checkpointed analyzer
 //	    state),
 //	(d) representation identity — the same equivalences hold after
-//	    per-frame compression, after Store.Compact re-encoding, and for
-//	    the flight-ring spill of the very same run.
+//	    Store.Compact re-encoding (deflated frames, the default keyframe
+//	    interval) and for the flight-ring spill of the very same run.
 //
 // Tamper injects a fault into the recorded artifact before checking, so
 // tests can prove the oracle has teeth: a harness that passes a tampered
@@ -192,15 +192,11 @@ func (cfg Config) Check(p *Prog) error {
 	}
 
 	// --- (c) analyzer ground truth and determinism ---
-	epochs, err := h.Epochs(h.EpochRange())
-	if err != nil {
-		return err
-	}
-	findings, err := cfg.analyze(mod, epochs, ropts, setup)
+	findings, err := cfg.analyze(mod, h, ropts, setup)
 	if err != nil {
 		return fmt.Errorf("analyze: %w", err)
 	}
-	again, err := cfg.analyze(mod, epochs, ropts, setup)
+	again, err := cfg.analyze(mod, h, ropts, setup)
 	if err != nil {
 		return fmt.Errorf("analyze (rerun): %w", err)
 	}
@@ -225,10 +221,8 @@ func (cfg Config) Check(p *Prog) error {
 	// verdict for racy ones (whose observation order varies per replay on
 	// both paths).
 	segRes, _, err := trace.AnalyzeSegments(trace.AnalyzeJob{
-		Job: trace.Job{Name: "gen", Module: mod, Handle: h, Opts: ropts, Setup: setup},
-		NewAnalyzers: func() []analysis.Analyzer {
-			return []analysis.Analyzer{analysis.NewRaceDetector(), analysis.NewLeakDetector()}
-		},
+		Job:          trace.Job{Name: "gen", Module: mod, Handle: h, Opts: ropts, Setup: setup},
+		NewAnalyzers: raceAndLeak,
 	}, cfg.Workers)
 	if err != nil {
 		return fmt.Errorf("segment-analyze: %w", err)
@@ -244,52 +238,42 @@ func (cfg Config) Check(p *Prog) error {
 		return fmt.Errorf("segment-analyze: %w", err)
 	}
 
-	// --- (d) identity across compression, compaction, and flight spill ---
-	tr, err := trace.Decode(raw)
-	if err != nil {
-		return err
-	}
-	ztr := *tr
-	ztr.Header.Compressed = true
-	zraw, err := trace.Encode(&ztr)
-	if err != nil {
-		return fmt.Errorf("compress: %w", err)
-	}
-	zh, err := trace.OpenBytes(zraw)
-	if err != nil {
-		return fmt.Errorf("compress: decode: %w", err)
-	}
-	if err := cfg.replayIdentical(p, mod, zh, ropts, recHeap); err != nil {
-		return fmt.Errorf("compressed-replay: %w", err)
-	}
-	if !p.Racy() {
-		if err := cfg.segmentsStitch(p, mod, zh, ropts); err != nil {
-			return fmt.Errorf("compressed-segment-replay: %w", err)
-		}
-	}
-
+	// --- (d) identity across compaction and flight spill ---
+	// The recording is committed the way every recorder commits one, then
+	// compacted: deflated frames and a re-chained checkpoint sequence at the
+	// writer's default keyframe interval.
 	st, err := trace.OpenStore(dir)
 	if err != nil {
 		return err
 	}
-	if _, err := st.Save("gen", tr); err != nil {
+	pt, err := st.Create("gen")
+	if err != nil {
 		return err
 	}
-	if _, err := st.Compact("gen", 4); err != nil {
+	defer pt.Abort()
+	if _, err := pt.Write(raw); err != nil {
+		return err
+	}
+	if err := pt.Commit(); err != nil {
+		return err
+	}
+	if _, err := st.Compact("gen"); err != nil {
 		return fmt.Errorf("compact: %w", err)
 	}
 	ch, err := st.Open("gen")
 	if err != nil {
 		return err
 	}
+	defer ch.Close()
 	if err := cfg.replayIdentical(p, mod, ch, ropts, recHeap); err != nil {
 		return fmt.Errorf("compacted-replay: %w", err)
 	}
-	cepochs, err := ch.Epochs(ch.EpochRange())
-	if err != nil {
-		return err
+	if !p.Racy() {
+		if err := cfg.segmentsStitch(p, mod, ch, ropts); err != nil {
+			return fmt.Errorf("compacted-segment-replay: %w", err)
+		}
 	}
-	cfindings, err := cfg.analyze(mod, cepochs, ropts, setup)
+	cfindings, err := cfg.analyze(mod, ch, ropts, setup)
 	if err != nil {
 		return fmt.Errorf("compacted-analyze: %w", err)
 	}
@@ -319,8 +303,13 @@ func (cfg Config) Check(p *Prog) error {
 }
 
 // replayIdentical replays the whole trace behind h and checks the full
-// identity claim: matched schedule, recorded exit and output, and — when
-// the handle reaches back to program start — a byte-identical final heap.
+// identity claim: matched schedule, recorded exit and output, and a
+// byte-identical final heap.
+//
+// It is the one replay driver kept outside the trace executor, on purpose:
+// the executor does not hand out its completed runtime, so only a driver of
+// its own can compare the final heap image — and an independent driver is
+// what lets this harness catch a bug in the executor instead of sharing it.
 func (cfg Config) replayIdentical(p *Prog, mod *tir.Module, h *trace.Handle, ropts core.Options, recHeap []byte) error {
 	epochs, err := h.Epochs(h.EpochRange())
 	if err != nil {
@@ -378,12 +367,20 @@ func (cfg Config) segmentsStitch(p *Prog, mod *tir.Module, h *trace.Handle, ropt
 	return nil
 }
 
-// analyze replays the epochs under the race and leak detectors.
-func (cfg Config) analyze(mod *tir.Module, epochs []*record.EpochLog, ropts core.Options,
+// analyze replays the whole trace behind h under the race and leak
+// detectors, through the executor's whole-trace path (trace.AnalyzeBatch).
+func (cfg Config) analyze(mod *tir.Module, h *trace.Handle, ropts core.Options,
 	setup func(*core.Runtime) error) ([]analysis.Finding, error) {
-	_, findings, err := analysis.Run(mod, epochs, ropts, setup,
-		analysis.NewRaceDetector(), analysis.NewLeakDetector())
-	return findings, err
+	res, _ := trace.AnalyzeBatch([]trace.AnalyzeJob{{
+		Job:          trace.Job{Name: "gen", Module: mod, Handle: h, Opts: ropts, Setup: setup},
+		NewAnalyzers: raceAndLeak,
+	}}, 1)
+	return res[0].Findings, res[0].Err
+}
+
+// raceAndLeak is the harness's analyzer set.
+func raceAndLeak() []analysis.Analyzer {
+	return []analysis.Analyzer{analysis.NewRaceDetector(), analysis.NewLeakDetector()}
 }
 
 // checkFindings asserts the analyzer ground truth the generator

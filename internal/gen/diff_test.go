@@ -9,7 +9,7 @@ import (
 
 // TestDifferentialRaceFree sweeps a small race-free seed batch through
 // the full pipeline — whole replay, segment stitching, analyzers,
-// compression, compaction, flight spill — and expects silence. This is
+// compaction, flight spill — and expects silence. This is
 // the in-tree slice of what CI's fuzz-smoke job runs at larger scale.
 func TestDifferentialRaceFree(t *testing.T) {
 	if testing.Short() {

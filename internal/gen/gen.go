@@ -11,8 +11,8 @@
 // recorded time queries), and a differential harness (diff.go) records
 // each one and asserts the equivalences the rest of the repo promises:
 // whole-trace replay identity, segment-vs-whole stitching, analyzer
-// zero-false-positives, and identity across compaction, compression, and
-// flight-ring spills.
+// zero-false-positives, and identity across compaction and flight-ring
+// spills.
 //
 // Generation has two modes. ModeRaceFree programs are race-free by
 // construction — every shared access happens under the cell's mutex, and

@@ -129,14 +129,6 @@ type RecordRequest struct {
 	// CheckpointEvery persists a checkpoint frame every N epochs (0 =
 	// none); checkpointed traces replay segment-parallel.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// KeyframeEvery makes every N-th checkpoint frame a full-image
-	// keyframe (0 = the writer default, trace.DefaultKeyframeEvery);
-	// smaller intervals cost bytes and buy faster mid-trace folds.
-	KeyframeEvery int `json:"keyframe_every,omitempty"`
-	// Compress deflates epoch and checkpoint frame bodies as they are
-	// written (seekable per-frame compression); the index stays random
-	// access, each frame decompressing independently through it.
-	Compress bool `json:"compress,omitempty"`
 	// FlightEpochs > 0 switches the recording to flight-recorder mode:
 	// instead of streaming the whole run into the store, a bounded ring
 	// retains roughly the last FlightEpochs epochs, and at run end (fault
@@ -144,7 +136,7 @@ type RecordRequest struct {
 	// that replays from its leading checkpoint. Recording cost stays
 	// O(epoch), disk stays O(FlightEpochs), however long the run.
 	// CheckpointEvery defaults to 1 in this mode (the ring trims at
-	// checkpoints); KeyframeEvery is ignored.
+	// checkpoints).
 	FlightEpochs int `json:"flight_epochs,omitempty"`
 }
 
@@ -243,13 +235,9 @@ func RecordTraceSpan(st *trace.Store, req RecordRequest, interrupt func() error,
 		VarCap:     0,
 		Seed:       req.Seed,
 		AppIters:   appIters,
-		Compressed: req.Compress,
 	})
 	if err != nil {
 		return nil, err
-	}
-	if req.KeyframeEvery > 0 {
-		w.SetKeyframeEvery(req.KeyframeEvery)
 	}
 	var events int64
 	opts := core.Options{Seed: req.Seed, EventCap: req.EventCap, Interrupt: interrupt, Span: span}

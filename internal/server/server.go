@@ -351,8 +351,7 @@ func (s *Server) handleDeleteTrace(w http.ResponseWriter, r *http.Request) {
 // the worker pool to recording and analysis.
 func (s *Server) handleCompactTrace(w http.ResponseWriter, r *http.Request) {
 	var body struct {
-		Priority      string `json:"priority"`
-		KeyframeEvery int    `json:"keyframe_every"`
+		Priority string `json:"priority"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil && !errors.Is(err, io.EOF) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad compact request: %w", err))
@@ -362,10 +361,9 @@ func (s *Server) handleCompactTrace(w http.ResponseWriter, r *http.Request) {
 		body.Priority = "low"
 	}
 	s.submit(w, &JobRequest{
-		Kind:          "compact",
-		Trace:         r.PathValue("name"),
-		Priority:      body.Priority,
-		KeyframeEvery: body.KeyframeEvery,
+		Kind:     "compact",
+		Trace:    r.PathValue("name"),
+		Priority: body.Priority,
 	})
 }
 
@@ -408,10 +406,6 @@ type JobRequest struct {
 	// (trace.AnalyzeSegments). Per-segment stage rows land in the result's
 	// timing breakdown. Ignored for other kinds.
 	Segments bool `json:"segments,omitempty"`
-
-	// KeyframeEvery sets a compact job's rewritten keyframe interval
-	// (<= 0: the writer default).
-	KeyframeEvery int `json:"keyframe_every,omitempty"`
 
 	// Record-job parameters.
 	Record RecordRequest `json:"record"`
@@ -666,7 +660,6 @@ func (s *Server) buildJob(req *JobRequest) (*sched.Job, *jobTel, error) {
 			return nil, nil, fmt.Errorf("trace %q is unreadable: %v", req.Trace, entry.Err)
 		}
 		tname := req.Trace
-		keyEvery := req.KeyframeEvery
 		tel := newJobTel("compact/" + tname)
 		return &sched.Job{
 			Name: "compact/" + tname,
@@ -685,7 +678,7 @@ func (s *Server) buildJob(req *JobRequest) (*sched.Job, *jobTel, error) {
 					return nil, err
 				}
 				start := time.Now()
-				cs, err := s.store.Compact(tname, keyEvery)
+				cs, err := s.store.Compact(tname)
 				if err != nil {
 					return nil, err
 				}

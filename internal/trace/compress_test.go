@@ -235,7 +235,7 @@ func TestCompactEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cs, err := st.Compact("sc", 3)
+	cs, err := st.Compact("sc")
 	if err != nil {
 		t.Fatalf("compact: %v", err)
 	}
@@ -300,8 +300,9 @@ func TestCompactEquivalence(t *testing.T) {
 		}
 
 		st := storeWith(t, "long", long)
+		st.SetCacheLimit(0) // uncached: every fold decode below is observable
 		before := decodeProbe.ckpts.Load()
-		if _, err := st.Compact("long", 3); err != nil {
+		if _, err := st.Compact("long"); err != nil {
 			t.Fatalf("compact: %v", err)
 		}
 		if got := decodeProbe.ckpts.Load() - before; got != int64(n) {
@@ -312,10 +313,20 @@ func TestCompactEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer h.Close()
+		// Compaction re-keyframes at the default interval, not the source's.
+		if want := (n + DefaultKeyframeEvery - 1) / DefaultKeyframeEvery; h.Keyframes() != want {
+			t.Fatalf("compacted %d checkpoints into %d keyframes, want %d (interval %d)",
+				n, h.Keyframes(), want, DefaultKeyframeEvery)
+		}
 		for k := 0; k < n; k++ {
+			before := decodeProbe.ckpts.Load()
 			ck, err := h.CheckpointAt(k)
 			if err != nil {
 				t.Fatalf("CheckpointAt(%d): %v", k, err)
+			}
+			if decoded := decodeProbe.ckpts.Load() - before; decoded > DefaultKeyframeEvery {
+				t.Fatalf("CheckpointAt(%d) on the compacted trace decoded %d checkpoint frames, keyframe interval is %d",
+					k, decoded, DefaultKeyframeEvery)
 			}
 			if ck.Epoch != wantStates[k].Epoch || !ck.Snap.Equal(wantStates[k].Snap) {
 				t.Fatalf("compacted checkpoint %d differs from the reference fold", k)
@@ -379,7 +390,7 @@ func TestCompactPreservesFindings(t *testing.T) {
 	if !strings.Contains(string(ref), "memory-leak") {
 		t.Fatalf("corpus trace produced no leak finding: %s", ref)
 	}
-	if _, err := st.Compact("leak", 0); err != nil {
+	if _, err := st.Compact("leak"); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	if got := analyze(); !bytes.Equal(got, ref) {

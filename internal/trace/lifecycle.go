@@ -7,9 +7,9 @@ package trace
 // policy. Pins live in a plain text file in the store directory (one
 // trace name per line) so an operator can pin from a shell as easily as
 // the daemon pins on a finding; GC never touches pinned or in-progress
-// files. Compact rewrites one trace compressed and re-keyframed through
-// the same temp+rename staging as Save, so a crash mid-compact never
-// leaves a torn file and readers of the old bytes are undisturbed.
+// files. Compact rewrites one trace compressed and re-keyframed through a
+// temp file renamed into place, so a crash mid-compact never leaves a torn
+// file and readers of the old bytes are undisturbed.
 
 import (
 	"fmt"
@@ -293,16 +293,17 @@ type CompactStats struct {
 	Checkpoints        int
 }
 
-// Compact rewrites the named trace with per-frame compression and a fresh
-// keyframe interval (keyframeEvery <= 0 selects the writer default). The
-// rewrite is semantics-preserving: epochs and the folded checkpoint images
-// are byte-identical to the original's, so replay output and analyzer
-// findings are unchanged — only the encoding (deflated bodies, re-chained
-// checkpoint deltas) differs. The new bytes land in a temp file and are
-// renamed into place; cached frames of the old content are invalidated.
+// Compact rewrites the named trace with per-frame compression and the
+// checkpoint chain re-keyframed at DefaultKeyframeEvery; it is the only way
+// a trace gets compressed. The rewrite is semantics-preserving: epochs and
+// the folded checkpoint images are byte-identical to the original's, so
+// replay output and analyzer findings are unchanged — only the encoding
+// (deflated bodies, re-chained checkpoint deltas) differs. The new bytes
+// land in a temp file and are renamed into place; cached frames of the old
+// content are invalidated.
 // An incomplete trace (no summary frame) compacts to a complete trace
 // with a partial summary — indexed, but still carrying no replay oracle.
-func (s *Store) Compact(name string, keyframeEvery int) (CompactStats, error) {
+func (s *Store) Compact(name string) (CompactStats, error) {
 	var stats CompactStats
 	h, err := s.Open(name)
 	if err != nil {
@@ -330,7 +331,6 @@ func (s *Store) Compact(name string, keyframeEvery int) (CompactStats, error) {
 	if err != nil {
 		return fail(err)
 	}
-	w.SetKeyframeEvery(keyframeEvery)
 	if err := Rewrite(w, h, -1); err != nil {
 		return fail(err)
 	}

@@ -89,7 +89,7 @@ type StoreStats struct {
 	// Hits/Misses/Evictions are cumulative since OpenStore, counted per
 	// frame fetch. A fetch served from cache is a hit; a fresh decode is a
 	// miss; an entry displaced by the byte budget is an eviction
-	// (invalidations by Save/Create are not).
+	// (invalidations by Commit/Compact/Remove are not).
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
@@ -202,7 +202,8 @@ func (s *Store) evictOverLocked(keep *list.Element) {
 	}
 }
 
-// invalidate drops every cached frame of name (Save/Create rewrote it).
+// invalidate drops every cached frame of name (a commit, compaction or
+// removal rewrote it).
 func (s *Store) invalidate(name string) {
 	s.mu.Lock()
 	var next *list.Element
@@ -371,8 +372,8 @@ func (p *PartialTrace) Abort() {
 	os.Remove(p.f.Name())
 }
 
-// Create opens the named trace for a streaming Writer, applying the same
-// name validation as Save. The recording lands under a ".partial" name
+// Create opens the named trace for a streaming Writer — the one way a new
+// trace enters the store. The recording lands under a ".partial" name
 // until PartialTrace.Commit renames it into place, so an in-progress (or
 // abandoned) recording never lists as a torn trace and a previous complete
 // recording of the same name survives until the new one commits.
@@ -385,46 +386,6 @@ func (s *Store) Create(name string) (*PartialTrace, error) {
 		return nil, fmt.Errorf("trace: creating %s: %w", name, err)
 	}
 	return &PartialTrace{f: f, st: s, name: name}, nil
-}
-
-// Save encodes and writes a trace under name, replacing any previous trace
-// with that name. The bytes land in a temporary file first and are renamed
-// into place, so a crash mid-save can never leave a torn file under a
-// valid name. The cache is invalidated, not primed: the caller still owns
-// tr and may mutate it, while cached frames must stay immutable images of
-// the file — the next fetch decodes fresh.
-func (s *Store) Save(name string, tr *Trace) (string, error) {
-	if err := validateName(name); err != nil {
-		return "", err
-	}
-	b, err := Encode(tr)
-	if err != nil {
-		return "", err
-	}
-	path := s.Path(name)
-	tmp, err := os.CreateTemp(s.dir, name+".*.tmp")
-	if err != nil {
-		return "", fmt.Errorf("trace: saving %s: %w", name, err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("trace: saving %s: %w", name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("trace: saving %s: %w", name, err)
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("trace: saving %s: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("trace: saving %s: %w", name, err)
-	}
-	s.invalidate(name)
-	return path, nil
 }
 
 // contentMark reads the cheap content fingerprint of an open trace file:

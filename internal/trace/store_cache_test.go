@@ -34,6 +34,28 @@ func cacheTestTrace(seed int64) *Trace {
 	}
 }
 
+// commitTrace encodes tr into the store under name the way every recorder
+// writes one: Create, stream the bytes, Commit (which replaces any previous
+// trace of that name and invalidates its cached frames).
+func commitTrace(t testing.TB, st *Store, name string, tr *Trace) {
+	t.Helper()
+	b, err := Encode(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := st.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Abort()
+	if _, err := p.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func seedCacheStore(t *testing.T, n int) *Store {
 	t.Helper()
 	st, err := OpenStore(t.TempDir())
@@ -41,9 +63,7 @@ func seedCacheStore(t *testing.T, n int) *Store {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := st.Save(names[i], cacheTestTrace(int64(i))); err != nil {
-			t.Fatal(err)
-		}
+		commitTrace(t, st, names[i], cacheTestTrace(int64(i)))
 	}
 	return st
 }
@@ -84,19 +104,17 @@ func TestStoreCacheHitsAndMisses(t *testing.T) {
 		t.Fatalf("cache cost %d, want the decoded epoch's cost %d", stats.CachedBytes, frameCost(t))
 	}
 
-	// Save invalidates without counting as an eviction.
-	if _, err := st.Save("a", cacheTestTrace(10)); err != nil {
-		t.Fatal(err)
-	}
+	// Committing a replacement invalidates without counting as an eviction.
+	commitTrace(t, st, "a", cacheTestTrace(10))
 	if stats := st.Stats(); stats.CachedFrames != 0 || stats.Evictions != 0 {
-		t.Fatalf("stats after invalidating save: %+v", stats)
+		t.Fatalf("stats after invalidating commit: %+v", stats)
 	}
 	tr3, err := st.Load("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr3.Epochs[0] == tr1.Epochs[0] {
-		t.Fatal("Load after Save served the stale decode")
+		t.Fatal("Load after a replacing commit served the stale decode")
 	}
 }
 

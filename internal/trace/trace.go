@@ -126,7 +126,8 @@ type Header struct {
 	// instead of searching for a fingerprint match.
 	AppIters int
 	// Compressed declares a trace written with per-frame compression:
-	// epoch and checkpoint bodies that shrink are stored deflated. Set it before NewWriter to enable compression; on decode
+	// epoch and checkpoint bodies that shrink are stored deflated. Compact
+	// sets it before NewWriter (recordings are written raw); on decode
 	// it is the store's cheap hot/cold classification — no frame needs to
 	// be touched to know a trace has been compacted.
 	Compressed bool

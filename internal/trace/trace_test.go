@@ -176,8 +176,8 @@ func TestTruncationAtFrameBoundaryIsValid(t *testing.T) {
 	}
 }
 
-// TestStoreRoundTripAndIndex covers Save/Load/List/ByModule and the decode
-// cache.
+// TestStoreRoundTripAndIndex covers Create+Commit/Load/List/ByModule and the
+// decode cache.
 func TestStoreRoundTripAndIndex(t *testing.T) {
 	spec := scaledSpec(t, denseApp(), 0.15)
 	tr := recordTrace(t, spec, core.Options{Seed: 3})
@@ -185,21 +185,19 @@ func TestStoreRoundTripAndIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Save("dedup-1", tr); err != nil {
-		t.Fatal(err)
-	}
+	commitTrace(t, st, "dedup-1", tr)
 	got, err := st.Load("dedup-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got == tr {
-		// Save must not alias the caller-owned object into the cache: the
-		// caller may keep mutating it, while cached traces are immutable
+		// The store must not alias the caller-owned object into the cache:
+		// the caller may keep mutating it, while cached traces are immutable
 		// images of the file.
-		t.Fatal("Load after Save returned the caller's object")
+		t.Fatal("Load after commit returned the caller's object")
 	}
 	if !reflect.DeepEqual(got.Header, tr.Header) || len(got.Epochs) != len(tr.Epochs) {
-		t.Fatal("Load after Save decoded different content")
+		t.Fatal("Load after commit decoded different content")
 	}
 	// The cache works at frame granularity: a second Load assembles a fresh
 	// Trace from the same cached epoch decodes.

@@ -70,6 +70,8 @@ func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
 // SetKeyframeEvery sets the checkpoint keyframe interval: every k-th
 // checkpoint frame (starting with the first) stores a full memory image.
 // k <= 0 restores the default; k == 1 makes every checkpoint a keyframe.
+// Recordings and compactions use the default; the flight ring, which
+// derives its interval from how many epochs it retains, is the one caller.
 func (tw *Writer) SetKeyframeEvery(k int) {
 	if k <= 0 {
 		k = DefaultKeyframeEvery

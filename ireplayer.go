@@ -116,24 +116,13 @@ var Fingerprint = tir.Fingerprint
 // calling RunReplay on the result.
 var PrepareReplay = core.PrepareReplay
 
-// ReplayFromTrace loads a recorded epoch sequence and re-executes it
-// through the divergence-checking replay path: PrepareReplay + optional OS
-// setup + RunReplay.
-var ReplayFromTrace = core.ReplayFromTrace
-
 // Checkpoint is a persisted epoch-boundary checkpoint (a trace checkpoint frame):
 // the memory snapshot, allocator metadata, vCPU contexts, shadow
 // synchronization state, and filesystem state the runtime captures at every
 // epoch begin, exported so one long trace becomes independently replayable
-// segments. Produce them with Options.CheckpointEvery/CheckpointSink;
-// consume them with PrepareReplayAt.
+// segments. Produce them with Options.CheckpointEvery/CheckpointSink; the
+// trace executor (internal/trace) resumes segment replays from them.
 type Checkpoint = core.Checkpoint
-
-// PrepareReplayAt builds a runtime primed to resume a trace mid-way from a
-// persisted checkpoint, replaying one segment of epochs with divergence
-// retries bounded to the segment; when the next checkpoint is supplied, the
-// segment's end memory image is verified byte-identical against it.
-var PrepareReplayAt = core.PrepareReplayAt
 
 // --- replay-time analysis (internal/analysis) ---
 
@@ -158,7 +147,3 @@ var NewRaceDetector = analysis.NewRaceDetector
 // against conservative reachability scans and blames the leaking
 // allocation site.
 var NewLeakDetector = analysis.NewLeakDetector
-
-// Analyze re-executes a recorded epoch sequence once with the given
-// analyzers attached and collects their findings.
-var Analyze = analysis.Run
