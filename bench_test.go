@@ -6,8 +6,8 @@
 //
 //	BenchmarkTable1MemoryDiff   §5.2   identity of re-execution
 //	BenchmarkTable2Crasher      §5.2.1 race reproduction search
-//	BenchmarkTable3Overhead     §5.3   recording overhead by system
-//	BenchmarkFigure5Detectors   §5.4.2 detector overhead vs ASan
+//	BenchmarkTable3Overhead     §5.3   recording overhead of IR-Alloc / iReplayer
+//	BenchmarkFigure5Detectors   §5.4.2 iReplayer with and without detectors
 //	BenchmarkDetectionTable     §5.4.1 bug-corpus effectiveness
 //	BenchmarkBatchReplay        offline replay throughput by worker count
 package ireplayer_test
@@ -82,7 +82,7 @@ func BenchmarkTable2Crasher(b *testing.B) {
 }
 
 func BenchmarkTable3Overhead(b *testing.B) {
-	systems := []bench.System{bench.SysBaseline, bench.SysIRAlloc, bench.SysIReplayer, bench.SysCLAP, bench.SysRR}
+	systems := []bench.System{bench.SysBaseline, bench.SysIRAlloc, bench.SysIReplayer}
 	for _, name := range benchApps {
 		for _, sys := range systems {
 			b.Run(fmt.Sprintf("%s/%v", name, sys), func(b *testing.B) {
@@ -99,7 +99,7 @@ func BenchmarkTable3Overhead(b *testing.B) {
 }
 
 func BenchmarkFigure5Detectors(b *testing.B) {
-	systems := []bench.System{bench.SysIReplayer, bench.SysIRDetect, bench.SysASan}
+	systems := []bench.System{bench.SysIReplayer, bench.SysIRDetect}
 	for _, name := range benchApps {
 		for _, sys := range systems {
 			b.Run(fmt.Sprintf("%s/%v", name, sys), func(b *testing.B) {

@@ -4,7 +4,7 @@
 //	ir-bench -table 1        memory-difference identity check (§5.2)
 //	ir-bench -table 2        Crasher race reproduction (§5.2.1)
 //	ir-bench -table 3        recording overhead (§5.3)
-//	ir-bench -figure 5       detector overhead vs AddressSanitizer (§5.4.2)
+//	ir-bench -figure 5       detector overhead with and without detectors (§5.4.2)
 //	ir-bench -detection      bug-corpus effectiveness (§5.4.1)
 //	ir-bench -all            everything
 //

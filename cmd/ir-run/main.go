@@ -4,7 +4,7 @@
 // cell, or to run hand-written programs under the recorder:
 //
 //	ir-run -app fluidanimate -sys iReplayer
-//	ir-run -app x264 -sys CLAP -scale 0.5
+//	ir-run -app x264 -sys IR-Alloc -scale 0.5 -normalized
 //	ir-run -asm prog.tir -replay
 //
 // With -flight N it becomes an always-on flight recorder: the run streams
@@ -41,17 +41,14 @@ var systems = map[string]bench.System{
 	"baseline":  bench.SysBaseline,
 	"IR-Alloc":  bench.SysIRAlloc,
 	"iReplayer": bench.SysIReplayer,
-	"CLAP":      bench.SysCLAP,
-	"RR":        bench.SysRR,
 	"detect":    bench.SysIRDetect,
-	"ASan":      bench.SysASan,
 }
 
 func main() {
 	app := flag.String("app", "sqlite", "application name (see internal/workloads)")
 	asmFile := flag.String("asm", "", "run a .tir assembly file instead of a named app")
 	replay := flag.Bool("replay", false, "with -asm: replay the final epoch and verify identity")
-	sys := flag.String("sys", "iReplayer", "baseline | IR-Alloc | iReplayer | CLAP | RR | detect | ASan")
+	sys := flag.String("sys", "iReplayer", "baseline | IR-Alloc | iReplayer | detect")
 	scale := flag.Float64("scale", 1.0, "iteration scale")
 	norm := flag.Bool("normalized", false, "also report runtime normalized to baseline")
 	seed := flag.Int64("seed", 42, "external-nondeterminism seed")

@@ -1,27 +1,22 @@
 // Package bench regenerates the paper's evaluation: Table 1 (memory
 // difference between original execution and re-execution), Table 2
 // (Crasher race-reproduction attempts), Table 3 (recording overhead of
-// IR-Alloc / iReplayer / CLAP / RR normalized to the default runtime), and
-// Figure 5 (detector overhead versus AddressSanitizer), plus the §5.4.1
-// detection-effectiveness table.
+// IR-Alloc / iReplayer normalized to the default runtime), and Figure 5
+// (iReplayer with and without its detectors), plus the §5.4.1
+// detection-effectiveness table. The paper's CLAP, RR and AddressSanitizer
+// columns are the paper's own measurements; this repo does not emulate them.
 //
 // Absolute times come from this substrate, not the paper's Xeon testbed;
-// the comparisons of interest are the normalized ratios and the win/loss
-// shape, which EXPERIMENTS.md tracks against the published numbers.
+// the comparisons of interest against the published numbers are the
+// normalized ratios and their shape.
 package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
-	"repro/internal/baseline/asan"
-	"repro/internal/baseline/clap"
-	"repro/internal/baseline/rr"
 	"repro/internal/core"
 	"repro/internal/detect"
-	"repro/internal/heap"
-	"repro/internal/mem"
 	"repro/internal/workloads"
 )
 
@@ -37,20 +32,14 @@ const (
 	SysIRAlloc
 	// SysIReplayer is full recording ("iReplayer" column).
 	SysIReplayer
-	// SysCLAP is Ball–Larus path recording over the instrumented module.
-	SysCLAP
-	// SysRR is single-core time-sliced record-and-replay.
-	SysRR
 	// SysIRDetect is iReplayer with both detectors enabled
 	// ("iReplayer(OF+DP)" in Figure 5).
 	SysIRDetect
-	// SysASan is the AddressSanitizer-like write checker.
-	SysASan
 )
 
 var sysNames = map[System]string{
 	SysBaseline: "baseline", SysIRAlloc: "IR-Alloc", SysIReplayer: "iReplayer",
-	SysCLAP: "CLAP", SysRR: "RR", SysIRDetect: "iReplayer(OF+DP)", SysASan: "ASan",
+	SysIRDetect: "iReplayer(OF+DP)",
 }
 
 func (s System) String() string { return sysNames[s] }
@@ -61,113 +50,39 @@ func RunOnce(spec workloads.Spec, sys System, seed int64) (time.Duration, error)
 	if err != nil {
 		return 0, err
 	}
+	opts := core.Options{Seed: seed}
+	var d *detect.Detector
 	switch sys {
-	case SysRR:
-		rt, err := rr.New(mod, seed)
-		if err != nil {
-			return 0, err
-		}
-		spec.SetupOS(rt.OS())
-		start := time.Now()
-		_, err = rt.Run()
-		return time.Since(start), err
-
-	case SysCLAP:
-		inst, err := clap.Instrument(mod)
-		if err != nil {
-			return 0, err
-		}
-		rec := clap.NewRecorder(mem.DefaultConfig().MaxThreads)
-		rt, err := core.New(inst, core.Options{
-			DisableRecording: true,
-			UseLibCAllocator: true,
-			ASLRSeed:         seed,
-			Seed:             seed,
-			OnProbe:          rec.OnProbe,
-		})
-		if err != nil {
-			return 0, err
-		}
-		spec.SetupOS(rt.OS())
-		start := time.Now()
-		_, err = rt.Run()
-		return time.Since(start), err
-
-	case SysASan:
-		inst, err := asan.Instrument(mod)
-		if err != nil {
-			return 0, err
-		}
-		var sh *asan.Shadow
-		opts := core.Options{
-			DisableRecording: true,
-			Seed:             seed,
-			WrapAllocator: func(d *heap.Deterministic) heap.Allocator {
-				return asan.NewAllocator(d, sh, 256<<10)
-			},
-		}
-		sh = asan.NewShadow(mem.New(mem.DefaultConfig()))
-		opts.OnProbe = sh.OnProbe
-		rt, err := core.New(inst, opts)
-		if err != nil {
-			return 0, err
-		}
-		spec.SetupOS(rt.OS())
-		start := time.Now()
-		_, err = rt.Run()
-		return time.Since(start), err
-
+	case SysBaseline:
+		opts.DisableRecording = true
+		opts.UseLibCAllocator = true
+		opts.ASLRSeed = seed
+	case SysIRAlloc:
+		opts.DisableRecording = true
 	case SysIRDetect:
-		d := detect.New(detect.Config{Overflow: true, UseAfterFree: true})
-		opts := d.Options()
+		d = detect.New(detect.Config{Overflow: true, UseAfterFree: true})
+		opts = d.Options()
 		opts.Seed = seed
-		rt, err := core.New(mod, opts)
-		if err != nil {
-			return 0, err
-		}
+	}
+	rt, err := core.New(mod, opts)
+	if err != nil {
+		return 0, err
+	}
+	if d != nil {
 		if err := d.Attach(rt); err != nil {
 			return 0, err
 		}
-		spec.SetupOS(rt.OS())
-		start := time.Now()
-		_, err = rt.Run()
-		return time.Since(start), err
-
-	default:
-		opts := core.Options{Seed: seed}
-		switch sys {
-		case SysBaseline:
-			opts.DisableRecording = true
-			opts.UseLibCAllocator = true
-			opts.ASLRSeed = seed
-		case SysIRAlloc:
-			opts.DisableRecording = true
-		case SysIReplayer:
-			// full recording, deterministic allocator
-		}
-		rt, err := core.New(mod, opts)
-		if err != nil {
-			return 0, err
-		}
-		spec.SetupOS(rt.OS())
-		start := time.Now()
-		_, err = rt.Run()
-		return time.Since(start), err
 	}
+	spec.SetupOS(rt.OS())
+	start := time.Now()
+	_, err = rt.Run()
+	return time.Since(start), err
 }
 
 // Normalized runs spec `rounds` times under sys and baseline and returns the
-// median-of-rounds ratio sys/baseline — one Table 3 cell.
-//
-// RR receives one documented adjustment: its architecture serializes every
-// thread onto one core, so on the paper's 16-core testbed it additionally
-// loses the application's parallel speedup (8×–52× total). This host has a
-// single CPU (the baseline cannot exploit parallelism either), so the
-// measured ratio misses exactly that architectural penalty; we restore it
-// with an Amdahl factor computed from the workload's parallel fraction (see
-// parallelSpeedup). Systems sharing the concurrent runtime (IR-Alloc,
-// iReplayer, CLAP, the detectors, ASan) need no adjustment: their numerator
-// and denominator miss parallelism identically, so the ratio is honest.
+// median-of-rounds ratio sys/baseline — one Table 3 cell. Every system shares
+// the baseline's concurrent runtime, so numerator and denominator see the
+// host's parallelism identically.
 func Normalized(spec workloads.Spec, sys System, rounds int) (float64, error) {
 	base, err := median(spec, SysBaseline, rounds)
 	if err != nil {
@@ -180,37 +95,7 @@ func Normalized(spec workloads.Spec, sys System, rounds int) (float64, error) {
 	if base <= 0 {
 		return 0, fmt.Errorf("bench: degenerate baseline time")
 	}
-	ratio := float64(d) / float64(base)
-	if sys == SysRR && runtime.NumCPU() < spec.Threads {
-		ratio *= parallelSpeedup(spec)
-		// On a starved host the serialized scheduler can beat the contended
-		// parallel baseline outright; real RR always costs at least its
-		// recording, so floor the simulated ratio at parity.
-		if ratio < 1 {
-			ratio = 1
-		}
-	}
-	return ratio, nil
-}
-
-// parallelSpeedup estimates the speedup the application would enjoy on
-// enough cores for its threads — the factor a serializing record-and-replay
-// system forfeits. The parallel fraction is derived from the workload's
-// per-iteration composition: compute, allocation, and fine-grained striped
-// locking scale with cores; kernel-serialized IO and time queries do not.
-func parallelSpeedup(s workloads.Spec) float64 {
-	par := float64(s.CPUBranchy+s.CPUFloat) +
-		float64(s.LibraryWork)/8 +
-		float64(s.Locks*(s.WritesPerLock+2))*3 +
-		float64(s.Allocs)*10 +
-		float64(s.Atomics)*3
-	ser := float64(s.FileIO+s.SocketIO)/4 + float64(s.TimeCalls)*5
-	if par+ser == 0 {
-		return 1
-	}
-	p := par / (par + ser)
-	t := float64(s.Threads)
-	return 1 / ((1 - p) + p/t)
+	return float64(d) / float64(base), nil
 }
 
 func median(spec workloads.Spec, sys System, rounds int) (time.Duration, error) {

@@ -24,7 +24,7 @@ func smallApps(names ...string) []workloads.Spec {
 func TestRunOnceAllSystems(t *testing.T) {
 	s, _ := workloads.ByName("sqlite")
 	s.Iters = 6
-	for _, sys := range []System{SysBaseline, SysIRAlloc, SysIReplayer, SysCLAP, SysRR, SysIRDetect, SysASan} {
+	for _, sys := range []System{SysBaseline, SysIRAlloc, SysIReplayer, SysIRDetect} {
 		if _, err := RunOnce(s, sys, 3); err != nil {
 			t.Fatalf("%v: %v", sys, err)
 		}
@@ -42,9 +42,6 @@ func TestTable1ShapeOrigPositiveIRZero(t *testing.T) {
 		}
 		if r.IR != 0 {
 			t.Errorf("%s: IR diff = %.3f%%, want exactly 0 (identical replay)", r.App, r.IR)
-		}
-		if r.RR != 0 {
-			t.Errorf("%s: RR diff = %.3f%%, want exactly 0", r.App, r.RR)
 		}
 	}
 }
@@ -93,11 +90,11 @@ func TestTable3ShapeOnSample(t *testing.T) {
 		t.Skip("timing-shape assertions are meaningless under the race detector's overhead")
 	}
 	// Shape assertions only: tiny scaled runs on a shared host are noisy, so
-	// the test checks the orderings the paper's conclusions rest on, with
-	// slack, and leaves absolute numbers to cmd/ir-bench + EXPERIMENTS.md.
+	// the test checks sanity floors with slack, and leaves absolute numbers
+	// to cmd/ir-bench.
 	// Every sample is taken unconditionally and each metric is judged on its
 	// median: one scheduling burst (single-CPU hosts, background
-	// compilation) cannot flip an ordering, and there is no
+	// compilation) cannot trip a floor, and there is no
 	// remeasure-until-it-passes bias.
 	const samples = 3
 	var fl, x [samples]Table3Row
@@ -126,18 +123,6 @@ func TestTable3ShapeOnSample(t *testing.T) {
 			t.Errorf("%s: median IRAlloc = %.3f, implausibly below baseline", app, m)
 		}
 	}
-	// RR (serialization, including the forfeited parallel speedup) must
-	// cost more than iReplayer's recording on parallel applications; 10%
-	// slack absorbs residual timer noise surviving the medians.
-	flRR := med(fl, func(r Table3Row) float64 { return r.RR })
-	flIR := med(fl, func(r Table3Row) float64 { return r.IReplayer })
-	if flRR < flIR*0.9 {
-		t.Errorf("median RR (%.3f) should exceed median iReplayer (%.3f) on fluidanimate", flRR, flIR)
-	}
-	// CLAP's path profiling must hurt the branch-density extreme clearly.
-	if m := med(x, func(r Table3Row) float64 { return r.CLAP }); m < 1.2 {
-		t.Errorf("x264 median CLAP = %.3f, expected substantial path-profiling cost", m)
-	}
 }
 
 func TestDetectionTableAllDetected(t *testing.T) {
@@ -157,15 +142,21 @@ func TestDetectionTableAllDetected(t *testing.T) {
 
 func TestPrinters(t *testing.T) {
 	var sb strings.Builder
-	PrintTable1(&sb, []Table1Row{{App: "x", Orig: 1, IR: 0, RR: 0}})
+	PrintTable1(&sb, []Table1Row{{App: "x", Orig: 1, IR: 0}})
 	PrintTable2(&sb, Table2Result{Runs: 10, Crashes: 8, Buckets: [4]int{8, 0, 0, 0}})
-	PrintTable3(&sb, []Table3Row{{App: "x", IRAlloc: 0.97, IReplayer: 1.03, CLAP: 2.6, RR: 17.5}})
-	PrintFigure5(&sb, []Figure5Row{{App: "x", IR: 1.03, IRDetect: 1.05, ASan: 1.26}})
+	PrintTable3(&sb, []Table3Row{{App: "x", IRAlloc: 0.97, IReplayer: 1.03}})
+	PrintFigure5(&sb, []Figure5Row{{App: "x", IR: 1.03, IRDetect: 1.05}})
 	PrintDetection(&sb, []DetectionRow{{Bug: "b", Kind: "overflow", Detected: true, SiteOK: true, Blamed: "f"}})
 	out := sb.String()
-	for _, want := range []string{"Table 1", "Table 2", "Table 3", "Figure 5", "average", "Crasher"} {
+	for _, want := range []string{"Table 1", "Table 2", "Table 3", "Figure 5", "average", "Crasher",
+		"Orig", "IR-Alloc", "iReplayer", "iReplayer(OF+DP)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("printer output missing %q", want)
+		}
+	}
+	for _, gone := range []string{"CLAP", " RR", "ASan"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("printer output still has the %q column", gone)
 		}
 	}
 }

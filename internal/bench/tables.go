@@ -4,10 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
-	"repro/internal/baseline/rr"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/interp"
@@ -16,13 +13,11 @@ import (
 
 // Table1Row is one application's memory-difference measurements (§5.2): the
 // percentage of heap bytes that differ between the original execution and a
-// re-execution, for the default library ("Orig"), iReplayer ("IR"), and the
-// RR baseline.
+// re-execution, for the default library ("Orig") and iReplayer ("IR").
 type Table1Row struct {
 	App  string
 	Orig float64
 	IR   float64
-	RR   float64
 }
 
 // Table1 measures every application. Each program carries the §5.2
@@ -39,9 +34,6 @@ func Table1(specs []workloads.Spec, scale float64) ([]Table1Row, error) {
 		}
 		if row.IR, err = table1IR(s); err != nil {
 			return nil, fmt.Errorf("%s ir: %w", s.Name, err)
-		}
-		if row.RR, err = table1RR(s); err != nil {
-			return nil, fmt.Errorf("%s rr: %w", s.Name, err)
 		}
 		rows = append(rows, row)
 	}
@@ -125,38 +117,6 @@ func table1IR(s workloads.Spec) (float64, error) {
 	}
 	if img1 == nil || img2 == nil {
 		return 0, fmt.Errorf("re-execution did not trigger")
-	}
-	return extentDiffPercent(img1, img2), nil
-}
-
-// table1RR records under the RR baseline and replays under the recorded
-// schedule in a fresh runtime; single-core determinism yields a zero diff.
-func table1RR(s workloads.Spec) (float64, error) {
-	run := func(sched []int32) ([]byte, []int32, error) {
-		mod, err := s.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		rt, err := rr.New(workloads.ImplantOverflow(mod), 7)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.SetupOS(rt.OS())
-		if sched != nil {
-			rt.SetReplay(sched)
-		}
-		if _, err := rt.Run(); err != nil {
-			return nil, nil, err
-		}
-		return rt.Mem().HeapImage(), rt.Schedule(), nil
-	}
-	img1, sched, err := run(nil)
-	if err != nil {
-		return 0, err
-	}
-	img2, _, err := run(sched)
-	if err != nil {
-		return 0, err
 	}
 	return extentDiffPercent(img1, img2), nil
 }
@@ -264,8 +224,6 @@ type Table3Row struct {
 	App       string
 	IRAlloc   float64
 	IReplayer float64
-	CLAP      float64
-	RR        float64
 }
 
 // Table3 measures recording overhead for every application.
@@ -281,23 +239,17 @@ func Table3(specs []workloads.Spec, rounds int, scale float64) ([]Table3Row, err
 		if row.IReplayer, err = Normalized(s, SysIReplayer, rounds); err != nil {
 			return nil, err
 		}
-		if row.CLAP, err = Normalized(s, SysCLAP, rounds); err != nil {
-			return nil, err
-		}
-		if row.RR, err = Normalized(s, SysRR, rounds); err != nil {
-			return nil, err
-		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// Figure5Row is one application's detector-overhead comparison.
+// Figure5Row is one application's detector-overhead comparison: iReplayer
+// alone against iReplayer with both detectors.
 type Figure5Row struct {
 	App      string
 	IR       float64
 	IRDetect float64
-	ASan     float64
 }
 
 // Figure5 measures detector overhead for every application.
@@ -311,9 +263,6 @@ func Figure5(specs []workloads.Spec, rounds int, scale float64) ([]Figure5Row, e
 			return nil, err
 		}
 		if row.IRDetect, err = Normalized(s, SysIRDetect, rounds); err != nil {
-			return nil, err
-		}
-		if row.ASan, err = Normalized(s, SysASan, rounds); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -377,9 +326,9 @@ func scaleSpec(s workloads.Spec, scale float64) workloads.Spec {
 // PrintTable1 renders rows like the paper's Table 1.
 func PrintTable1(w io.Writer, rows []Table1Row) {
 	fmt.Fprintf(w, "Table 1: %% memory difference between original execution and re-execution\n")
-	fmt.Fprintf(w, "%-15s %8s %8s %8s\n", "application", "Orig", "IR", "RR")
+	fmt.Fprintf(w, "%-15s %8s %8s\n", "application", "Orig", "IR")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-15s %8.2f %8.2f %8.2f\n", r.App, r.Orig, r.IR, r.RR)
+		fmt.Fprintf(w, "%-15s %8.2f %8.2f\n", r.App, r.Orig, r.IR)
 	}
 }
 
@@ -402,18 +351,16 @@ func PrintTable2(w io.Writer, r Table2Result) {
 // including the closing average row.
 func PrintTable3(w io.Writer, rows []Table3Row) {
 	fmt.Fprintf(w, "Table 3: performance overhead (normalized runtime)\n")
-	fmt.Fprintf(w, "%-15s %9s %10s %8s %8s\n", "application", "IR-Alloc", "iReplayer", "CLAP", "RR")
-	var a, b, c, d float64
+	fmt.Fprintf(w, "%-15s %9s %10s\n", "application", "IR-Alloc", "iReplayer")
+	var a, b float64
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-15s %9.3f %10.3f %8.3f %8.3f\n", r.App, r.IRAlloc, r.IReplayer, r.CLAP, r.RR)
+		fmt.Fprintf(w, "%-15s %9.3f %10.3f\n", r.App, r.IRAlloc, r.IReplayer)
 		a += r.IRAlloc
 		b += r.IReplayer
-		c += r.CLAP
-		d += r.RR
 	}
 	n := float64(len(rows))
 	if n > 0 {
-		fmt.Fprintf(w, "%-15s %9.3f %10.3f %8.3f %8.3f\n", "average", a/n, b/n, c/n, d/n)
+		fmt.Fprintf(w, "%-15s %9.3f %10.3f\n", "average", a/n, b/n)
 	}
 }
 
@@ -421,17 +368,16 @@ func PrintTable3(w io.Writer, rows []Table3Row) {
 // Figure 5.
 func PrintFigure5(w io.Writer, rows []Figure5Row) {
 	fmt.Fprintf(w, "Figure 5: detector overhead (normalized runtime)\n")
-	fmt.Fprintf(w, "%-15s %10s %17s %8s\n", "application", "iReplayer", "iReplayer(OF+DP)", "ASan")
-	var a, b, c float64
+	fmt.Fprintf(w, "%-15s %10s %17s\n", "application", "iReplayer", "iReplayer(OF+DP)")
+	var a, b float64
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-15s %10.3f %17.3f %8.3f\n", r.App, r.IR, r.IRDetect, r.ASan)
+		fmt.Fprintf(w, "%-15s %10.3f %17.3f\n", r.App, r.IR, r.IRDetect)
 		a += r.IR
 		b += r.IRDetect
-		c += r.ASan
 	}
 	n := float64(len(rows))
 	if n > 0 {
-		fmt.Fprintf(w, "%-15s %10.3f %17.3f %8.3f\n", "average", a/n, b/n, c/n)
+		fmt.Fprintf(w, "%-15s %10.3f %17.3f\n", "average", a/n, b/n)
 	}
 }
 
@@ -442,23 +388,4 @@ func PrintDetection(w io.Writer, rows []DetectionRow) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-20s %-15s %9v %9v %s\n", r.Bug, r.Kind, r.Detected, r.SiteOK, r.Blamed)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Summary renders a one-line digest used by tests.
-func Summary(rows []Table3Row) string {
-	var sb strings.Builder
-	names := make([]string, 0, len(rows))
-	for _, r := range rows {
-		names = append(names, r.App)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(&sb, "%d apps", len(names))
-	return sb.String()
 }

@@ -93,10 +93,6 @@ type Options struct {
 	// calls from multiple threads. A deadlocked program whose threads never
 	// reach another gated point cannot observe the interrupt.
 	Interrupt func() error
-	// OnProbe receives instrumentation probes (Probe instructions inserted
-	// by IR passes); used by the CLAP and ASan baseline runtimes. Must be
-	// safe for concurrent calls from different thread IDs.
-	OnProbe func(tid int32, id int64, v uint64)
 	// Observers attach passive tools to the execution (see observer.go):
 	// synchronization, thread-lifecycle, allocation, syscall, memory-access,
 	// epoch-boundary, and reset callbacks. The replay-time analysis
@@ -104,10 +100,6 @@ type Options struct {
 	// plug in here. Observers survive PrepareReplay, unlike the recording
 	// hooks above.
 	Observers []Observer
-	// WrapAllocator, when set, wraps the deterministic allocator before use
-	// (the ASan baseline interposes shadow bookkeeping this way). Ignored
-	// with UseLibCAllocator.
-	WrapAllocator func(*heap.Deterministic) heap.Allocator
 	// Span, when set, is the parent the runtime records its epoch timeline
 	// under: one child span per epoch boundary (start of the epoch to the
 	// end of its boundary processing) with a quiescence child, one child
@@ -286,9 +278,6 @@ func New(mod *tir.Module, opts Options) (*Runtime, error) {
 		det.SetFetchGate(rt.blockFetchGate)
 		rt.det = det
 		rt.alloc = det
-		if opts.WrapAllocator != nil {
-			rt.alloc = opts.WrapAllocator(det)
-		}
 	}
 	rt.mu.Lock()
 	rt.createVar = rt.newSyncVarLocked(createVarAddr)
@@ -597,12 +586,6 @@ func (h *threadHooks) Syscall(num int64, args []uint64) (uint64, error) {
 		h.t.rt.notifySyscall(h.t.id, num, ret)
 	}
 	return ret, err
-}
-
-func (h *threadHooks) Probe(id int64, v uint64) {
-	if fn := h.t.rt.opts.OnProbe; fn != nil {
-		fn(h.t.id, id, v)
-	}
 }
 
 func (h *threadHooks) Poll() error {

@@ -114,8 +114,6 @@ type Allocator interface {
 	Calloc(tid int32, n, size int64) uint64
 	// Free releases the object at addr on behalf of tid.
 	Free(tid int32, addr uint64) error
-	// Lookup returns metadata for a live object.
-	Lookup(addr uint64) (Object, bool)
 	// Snapshot captures allocator metadata at an epoch boundary.
 	Snapshot() AllocSnapshot
 	// Restore rewinds allocator metadata to a snapshot (rollback).
@@ -367,14 +365,6 @@ func (d *Deterministic) release(tid int32, obj Object) {
 	}
 	// Large objects are not reused in this scaled-down allocator; the arena
 	// is sized for the workloads.
-}
-
-// Lookup implements Allocator.
-func (d *Deterministic) Lookup(addr uint64) (Object, bool) {
-	d.metaMu.Lock()
-	defer d.metaMu.Unlock()
-	o, ok := d.live[addr]
-	return o, ok
 }
 
 // LiveObjects returns every live allocation sorted by payload address — the

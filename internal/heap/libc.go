@@ -112,14 +112,6 @@ func (l *LibC) Free(tid int32, addr uint64) error {
 	return nil
 }
 
-// Lookup implements Allocator.
-func (l *LibC) Lookup(addr uint64) (Object, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	o, ok := l.live[addr]
-	return o, ok
-}
-
 func (l *LibC) spin() {
 	s := 0
 	for i := 0; i < l.lockDelay; i++ {

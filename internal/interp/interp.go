@@ -27,8 +27,6 @@ type Hooks interface {
 	// Intrinsic handles synchronization, allocation, and thread intrinsics;
 	// synchronization intrinsics are interception points.
 	Intrinsic(id int64, args []uint64) (uint64, error)
-	// Probe handles instrumentation probes inserted by IR passes.
-	Probe(id int64, v uint64)
 	// Poll is called every PollInterval instructions so that long CPU-bound
 	// stretches still observe stop-the-world requests (§3.3). A non-nil
 	// return unwinds the CPU immediately.
@@ -502,13 +500,6 @@ func (c *CPU) Run() error {
 				c.watchArmed = c.Mem.HasWatchpoints()
 				pc++
 				continue inner
-			case tir.Probe:
-				top.PC = pc // accurate stacks for instrumentation reports
-				var v uint64
-				if in.A >= 0 {
-					v = regs[in.A]
-				}
-				c.Hooks.Probe(in.Imm, v)
 			default:
 				top.PC = pc
 				return c.trap(fmt.Errorf("invalid opcode %d", in.Op))

@@ -13,7 +13,6 @@ import (
 type stubHooks struct {
 	syscalls   []int64
 	intrinsics []int64
-	probes     []int64
 	polls      int
 	pollErr    error
 	sysRet     uint64
@@ -30,8 +29,6 @@ func (h *stubHooks) Intrinsic(id int64, args []uint64) (uint64, error) {
 	h.intrinsics = append(h.intrinsics, id)
 	return h.intrinRet, h.intrinErr
 }
-
-func (h *stubHooks) Probe(id int64, v uint64) { h.probes = append(h.probes, id) }
 
 func (h *stubHooks) Poll() error {
 	h.polls++
@@ -312,25 +309,6 @@ func TestAtomicIntrinsics(t *testing.T) {
 	}
 }
 
-func TestProbeHook(t *testing.T) {
-	mb := tir.NewModuleBuilder()
-	fb := mb.Func("main", 0)
-	r := fb.NewReg()
-	fb.ConstI(r, 1)
-	fb.Probe(7, r)
-	fb.Probe(8, -1)
-	fb.Ret(r)
-	fb.Seal()
-	mb.SetEntry("main")
-	_, h, err := run(t, mb.MustBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.probes) != 2 || h.probes[0] != 7 || h.probes[1] != 8 {
-		t.Fatalf("probes = %v", h.probes)
-	}
-}
-
 func TestPollFiresOnLongLoops(t *testing.T) {
 	mb := tir.NewModuleBuilder()
 	fb := mb.Func("main", 0)
@@ -448,8 +426,7 @@ func (h *captureHooks) Intrinsic(id int64, args []uint64) (uint64, error) {
 	return h.inner.Intrinsic(id, args)
 }
 
-func (h *captureHooks) Probe(id int64, v uint64) { h.inner.Probe(id, v) }
-func (h *captureHooks) Poll() error              { return h.inner.Poll() }
+func (h *captureHooks) Poll() error { return h.inner.Poll() }
 
 func TestWatchpointHitCarriesStack(t *testing.T) {
 	mb := tir.NewModuleBuilder()

@@ -399,16 +399,6 @@ func (p *asmParser) instr(line string) error {
 			return p.errf("unknown intrinsic %q", name)
 		}
 		p.fb.Emit(Instr{Op: Intrin, A: r, B: base, C: count, Imm: id})
-	case op == "probe":
-		v, err := p.imm(a(0))
-		if err != nil {
-			return err
-		}
-		r, err := p.reg(a(1))
-		if err != nil {
-			return err
-		}
-		p.fb.Emit(Instr{Op: Probe, A: r, Imm: v})
 	default:
 		return p.errf("unknown mnemonic %q", op)
 	}

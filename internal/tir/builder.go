@@ -239,11 +239,6 @@ func (fb *FuncBuilder) Intrin(dst Reg, id int64, args ...Reg) {
 	fb.Emit(Instr{Op: Intrin, A: dst, B: base, C: int32(len(args)), Imm: id})
 }
 
-// Probe emits an instrumentation probe carrying regs[v] (v may be -1).
-func (fb *FuncBuilder) Probe(id int64, v Reg) {
-	fb.Emit(Instr{Op: Probe, A: v, Imm: id})
-}
-
 // contiguous returns the base register of args, copying into fresh registers
 // when the caller's registers are not already a contiguous window.
 func (fb *FuncBuilder) contiguous(args []Reg) int32 {

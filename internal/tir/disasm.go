@@ -55,8 +55,6 @@ func DisasmInstr(m *Module, in Instr) string {
 		return fmt.Sprintf("syscall %s, %d(%s+%d)", reg(in.A), in.Imm, reg(in.B), in.C)
 	case Intrin:
 		return fmt.Sprintf("intrin %s, %s(%s+%d)", reg(in.A), IntrinName(in.Imm), reg(in.B), in.C)
-	case Probe:
-		return fmt.Sprintf("probe %d, %s", in.Imm, reg(in.A))
 	default:
 		return fmt.Sprintf("%s A=%d B=%d C=%d Imm=%d", in.Op, in.A, in.B, in.C, in.Imm)
 	}

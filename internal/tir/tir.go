@@ -98,10 +98,6 @@ const (
 	// Intrin: regs[A] = intrinsic(Imm, regs[B .. B+C-1]). Intrinsic IDs are
 	// defined below. Synchronization intrinsics are interception points.
 	Intrin
-	// Probe: invoke the probe hook with (Imm, regs[A]); A < 0 passes 0.
-	// Probes are inserted by instrumentation passes (CLAP path profiling,
-	// ASan-style write checking) and cost nothing when no hook is set.
-	Probe
 
 	opCount
 )
@@ -237,7 +233,7 @@ var opNames = [...]string{
 	Jmp: "jmp", Br: "br", Brz: "brz", Call: "call", Ret: "ret",
 	Load8: "load8", Load64: "load64", Store8: "store8", Store64: "store64",
 	FrameAddr: "frameaddr", GlobalAddr: "globaladdr",
-	Syscall: "syscall", Intrin: "intrin", Probe: "probe",
+	Syscall: "syscall", Intrin: "intrin",
 }
 
 // String returns the mnemonic for op.

@@ -142,10 +142,6 @@ func validateFunc(m *Module, f *Function) error {
 			if err := checkArgWindow(pc, f, in.B, in.C); err != nil {
 				return err
 			}
-		case Probe:
-			if err := checkReg(pc, in.A, true); err != nil {
-				return err
-			}
 		default:
 			return fmt.Errorf("pc %d: unhandled opcode %s", pc, in.Op)
 		}

@@ -17,9 +17,9 @@
 //
 // Tools hook epoch boundaries through Options.OnEpochEnd /
 // Options.OnReplayMatched; the bundled detectors (internal/detect), the
-// interactive debugger (internal/debug), the evaluation baselines
-// (internal/baseline/...), and the synthesized applications
-// (internal/workloads) all build on exactly this surface.
+// interactive debugger (internal/debug), the evaluation harness
+// (internal/bench), and the synthesized applications (internal/workloads)
+// all build on exactly this surface.
 //
 // Above the library sit the persistent trace layer (internal/trace: an
 // indexed store of replayable recordings with random-access Handles —
