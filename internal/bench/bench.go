@@ -76,7 +76,9 @@ func RunOnce(spec workloads.Spec, sys System, seed int64) (time.Duration, error)
 	spec.SetupOS(rt.OS())
 	start := time.Now()
 	_, err = rt.Run()
-	return time.Since(start), err
+	wall := time.Since(start)
+	rt.Release()
+	return wall, err
 }
 
 // Normalized runs spec `rounds` times under sys and baseline and returns the

@@ -59,7 +59,9 @@ func table1Orig(s workloads.Spec) (float64, error) {
 			return nil, err
 		}
 		s.SetupOS(rt.OS())
-		if _, err := rt.Run(); err != nil {
+		_, err = rt.Run()
+		defer rt.Release()
+		if err != nil {
 			return nil, err
 		}
 		return rt.Mem().HeapImage(), nil
@@ -112,7 +114,9 @@ func table1IR(s workloads.Spec) (float64, error) {
 		return 0, err
 	}
 	s.SetupOS(rt.OS())
-	if _, err := rt.Run(); err != nil {
+	_, err = rt.Run()
+	rt.Release() // the images were copied out by the hooks
+	if err != nil {
 		return 0, err
 	}
 	if img1 == nil || img2 == nil {
@@ -190,6 +194,7 @@ func Table2(runs int, spec workloads.CrasherSpec) (Table2Result, error) {
 			return res, err
 		}
 		_, runErr := rt.Run()
+		rt.Release()
 		if runErr == nil {
 			continue // race did not fire
 		}
@@ -291,7 +296,9 @@ func DetectionTable() ([]DetectionRow, error) {
 		if err := d.Attach(rt); err != nil {
 			return nil, err
 		}
-		if _, err := rt.Run(); err != nil {
+		_, err = rt.Run()
+		rt.Release()
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		rep := d.Report()

@@ -115,6 +115,44 @@ func TestPlainModeMatchesRecorded(t *testing.T) {
 	}
 }
 
+// TestReleaseRequiresShutdown: a runtime's address space can be given back
+// only once no vthread can touch it again. Release before Run panics; after
+// Run it recycles, faults every later access, and a second call is a no-op.
+func TestReleaseRequiresShutdown(t *testing.T) {
+	rt, err := New(buildCounter(2, 50), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Release before shutdown did not panic")
+			}
+		}()
+		rt.Release()
+	}()
+	rep, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Exit != 100 {
+		t.Fatalf("counter = %d, want 100", rep.Exit)
+	}
+	rt.Release()
+	rt.Release()
+	if _, err := rt.Mem().Load64(mem.GlobalBase); err == nil {
+		t.Fatal("a released runtime's memory still reads")
+	}
+
+	// A runtime abandoned before it ever ran: Shutdown makes it releasable.
+	rt, err = New(buildCounter(1, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Shutdown()
+	rt.Release()
+}
+
 // TestIdenticalReplay is the core §5.2 validation: trigger a replay of the
 // final epoch and require the heap image after replay to be byte-identical
 // to the image after the original execution.

@@ -119,8 +119,10 @@ func PrepareReplayFlatAt(mod *tir.Module, start *Checkpoint, fl *record.Flat, en
 		err = rt.armSegmentEnd(end)
 	}
 	if err != nil {
-		// Once any trampoline is live, error paths must reap it.
+		// Once any trampoline is live, error paths must reap it; nobody
+		// will see this runtime, so its address space goes back too.
 		rt.shutdown()
+		rt.Release()
 		return nil, err
 	}
 	return rt, nil
@@ -228,6 +230,20 @@ func (rt *Runtime) seedShadows(vars []VarState) error {
 // before RunReplay (e.g. a failed OS setup) must call it themselves.
 func (rt *Runtime) Shutdown() { rt.shutdown() }
 
+// Release gives the runtime's address space back for reuse by the next
+// runtime of the same geometry (mem.Memory.Release). Callers that read
+// nothing of a finished runtime — not its memory, not its allocator — call
+// it; afterwards every guest load and store through Mem faults. It panics
+// unless the runtime has shut down (Run or RunReplay returned, or Shutdown
+// was called), so memory is never recycled under a live vthread. A second
+// call is a no-op.
+func (rt *Runtime) Release() {
+	if rt.phase() != phShutdown {
+		panic("core: Release of a runtime that has not shut down")
+	}
+	rt.mem.Release()
+}
+
 // replayVarFor resolves (or pre-creates) the shadow for addr without touching
 // VM memory — memory is still at its program-start state and varFor caches
 // the index word lazily on first use during the replay itself.
@@ -258,6 +274,7 @@ func (rt *Runtime) RunReplay() (*Report, error) {
 	}
 	main := rt.thread(0)
 	if main == nil {
+		rt.shutdown()
 		return nil, errors.New("core: replay runtime has no main thread")
 	}
 	// In-situ replay inherits the paper's unlimited default search; offline a

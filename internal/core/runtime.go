@@ -404,6 +404,7 @@ type fetchUnwind struct{ err error }
 func (rt *Runtime) Run() (*Report, error) {
 	main, err := rt.newThread(rt.mod.Entry, 0, false)
 	if err != nil {
+		rt.shutdown()
 		return nil, err
 	}
 	// The program start is the first epoch's beginning (§3): checkpoint the

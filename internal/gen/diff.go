@@ -150,6 +150,7 @@ func (cfg Config) Check(p *Prog) error {
 		return fmt.Errorf("record: %w", err)
 	}
 	recHeap := rt.Mem().HeapImage()
+	rt.Release()
 	sum := &trace.Summary{Exit: rep.Exit, Output: rep.Output}
 	if err := w.Finish(sum); err != nil {
 		return err
@@ -321,6 +322,7 @@ func (cfg Config) replayIdentical(p *Prog, mod *tir.Module, h *trace.Handle, rop
 	}
 	p.SetupOS(rt.OS())
 	rep, err := rt.RunReplay()
+	defer rt.Release() // after the heap image below is read
 	if err != nil {
 		return err
 	}

@@ -19,6 +19,13 @@
 // marks the pages it hands out; there is no other way to write guest memory,
 // so no writer can forget the mark.
 //
+// Address spaces are recycled (recycle.go). New may hand out the storage of
+// a released space of the same Config instead of allocating; Release
+// re-establishes "all zero, every flag clear" by restoring the all-zero
+// snapshot, which costs the pages the run dirtied, not the 21 MiB a fresh
+// space would cost to allocate and clear. A released Memory faults on every
+// access.
+//
 // Concurrent unsynchronized access from multiple vthreads is intentional:
 // races in the program under test manifest as real interleavings on these
 // slices, which is what the divergence-search replay machinery (§3.5) must
@@ -104,30 +111,33 @@ type Memory struct {
 	// clear. See snapshot.go for the invariant and who maintains it.
 	dirty [numSegs][]atomic.Uint32
 	base  *Snapshot
+	// geom is the Config's shared zero snapshot and free list; nil once
+	// Release has given the storage back.
+	geom *geometry
 
 	watches  [MaxWatchpoints]Watchpoint
 	nwatches int
 	onWatch  func(WatchHit)
 }
 
-// New builds an address space from cfg.
+// New builds an address space from cfg: all zero, every dirty flag clear.
+// The storage may be a released space of the same Config (recycle.go), in
+// which case Release has already put it in exactly that state.
 func New(cfg Config) *Memory {
 	if cfg.GlobalSize <= 0 || cfg.HeapSize <= 0 || cfg.StackSlot <= 0 || cfg.MaxThreads <= 0 {
 		panic("mem: invalid config")
 	}
-	m := &Memory{
+	b, g := acquire(cfg)
+	// Every page starts clean against the all-zero snapshot of the geometry.
+	return &Memory{
 		cfg:     cfg,
-		globals: make([]byte, cfg.GlobalSize),
-		heap:    make([]byte, cfg.HeapSize),
-		stacks:  make([]byte, cfg.StackSlot*int64(cfg.MaxThreads)),
+		globals: b.segs[segGlobals],
+		heap:    b.segs[segHeap],
+		stacks:  b.segs[segStacks],
+		dirty:   b.dirty,
+		base:    g.zero,
+		geom:    g,
 	}
-	// Fresh memory is all zero, which is what the zero snapshot of the same
-	// geometry holds: every page starts clean against it.
-	m.base = zeroSnapshot([numSegs]int{len(m.globals), len(m.heap), len(m.stacks)})
-	for i, n := range m.base.lens {
-		m.dirty[i] = make([]atomic.Uint32, pagesFor(n))
-	}
-	return m
 }
 
 // Config returns the sizing used to build this address space.

@@ -21,6 +21,8 @@ package mem
 // set); storeWindow keeps it by setting the flag of every page it hands out;
 // Snapshot and Restore are the only code that clears a flag or moves base,
 // and each re-establishes it for the snapshot it returns or was given.
+// Release (recycle.go) leans on it: a Restore to the all-zero snapshot is
+// what makes released storage fit for the next New.
 // Restore accepts any snapshot of the same geometry — an older one, one taken
 // from another Memory, one folded from a trace by another goroutine — because
 // it trusts only the invariant, never the caller's history.

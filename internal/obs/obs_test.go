@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,30 @@ func TestRecorderRingBoundsAndOrder(t *testing.T) {
 		if spans[i].Start.Before(spans[i-1].Start) {
 			t.Errorf("snapshot not oldest-first at %d", i)
 		}
+	}
+}
+
+// TestRecorderRingGrowsOnDemand: a recorder with the daemon's per-job limit
+// that has seen three spans holds a ring sized for three, not for the limit;
+// past the limit it still drops oldest-first.
+func TestRecorderRingGrowsOnDemand(t *testing.T) {
+	const jobSpanCap = 4096 // internal/server's per-job ring limit
+	rec := NewRecorder(jobSpanCap)
+	for i := 0; i < 3; i++ {
+		rec.Start("s").End()
+	}
+	if n, c := rec.Len(), cap(rec.ring); n != 3 || c >= 64 {
+		t.Fatalf("after 3 spans: len %d cap %d, want len 3 and cap < 64", n, c)
+	}
+	for i := 3; i < jobSpanCap+5; i++ {
+		rec.Start(fmt.Sprint(i)).End()
+	}
+	spans, dropped := rec.Snapshot()
+	if len(spans) != jobSpanCap || dropped != 5 {
+		t.Fatalf("at the limit: %d spans, %d dropped; want %d and 5", len(spans), dropped, jobSpanCap)
+	}
+	if spans[0].Name != "5" || spans[len(spans)-1].Name != fmt.Sprint(jobSpanCap+4) {
+		t.Fatalf("ring holds %q..%q, want the newest %d", spans[0].Name, spans[len(spans)-1].Name, jobSpanCap)
 	}
 }
 

@@ -30,10 +30,14 @@ func (r SpanRecord) Dur() time.Duration { return r.End.Sub(r.Start) }
 // Recorder collects completed spans into a bounded ring; when full, the
 // oldest records are dropped. A nil *Recorder is valid and records nothing,
 // so instrumented code paths never need to branch on "is tracing on".
+//
+// The ring grows by append up to its limit, so a recorder that sees a few
+// spans — most daemon jobs — holds a few records, not the limit's worth.
 type Recorder struct {
 	mu      sync.Mutex
 	ring    []SpanRecord
-	next    int  // ring write cursor
+	limit   int
+	next    int  // ring write cursor once len(ring) == limit
 	wrapped bool // ring has overwritten at least one record
 	dropped uint64
 	lastID  atomic.Uint64
@@ -45,7 +49,7 @@ func NewRecorder(cap int) *Recorder {
 	if cap <= 0 {
 		cap = 4096
 	}
-	return &Recorder{ring: make([]SpanRecord, 0, cap)}
+	return &Recorder{limit: cap}
 }
 
 // Start opens a root span. The returned *Span is nil-safe: if r is nil or
@@ -67,12 +71,12 @@ func (r *Recorder) StartAt(name string, start time.Time) *Span {
 func (r *Recorder) add(rec SpanRecord) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.ring) < cap(r.ring) {
+	if len(r.ring) < r.limit {
 		r.ring = append(r.ring, rec)
 		return
 	}
 	r.ring[r.next] = rec
-	r.next = (r.next + 1) % cap(r.ring)
+	r.next = (r.next + 1) % r.limit
 	r.wrapped = true
 	r.dropped++
 }

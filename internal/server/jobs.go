@@ -259,6 +259,9 @@ func RecordTraceSpan(st *trace.Store, req RecordRequest, interrupt func() error,
 	}
 	start := time.Now()
 	rep, runErr := rt.Run()
+	// The job reads nothing of the runtime after its report; the address
+	// space goes back for the next job.
+	defer rt.Release()
 	if rep == nil {
 		return nil, runErr
 	}
@@ -333,6 +336,9 @@ func recordFlight(st *trace.Store, req RecordRequest, name string, mod *tir.Modu
 	}
 	start := time.Now()
 	rep, runErr := rt.Run()
+	// The job reads nothing of the runtime after its report; the address
+	// space goes back for the next job.
+	defer rt.Release()
 	if rep == nil {
 		return nil, runErr
 	}

@@ -469,7 +469,8 @@ const decodeWindow = 16
 // observers attached, recording a "segment N" span with one child per
 // stage. It is the only place the package builds or runs a core.Runtime.
 // The completed runtime is returned for a matched final segment (analyzer
-// Finish passes read its end state) and nil otherwise.
+// Finish passes read its end state) and nil otherwise; every runtime it
+// does not return gives its address space back before it returns.
 func execSegment(j *Job, plan *segPlan, extra []core.Observer) (res SegmentResult, rt *core.Runtime) {
 	res = SegmentResult{
 		Name:       fmt.Sprintf("%s@%d-%d", j.Name, plan.first, plan.last),
@@ -534,19 +535,24 @@ func execSegment(j *Job, plan *segPlan, extra []core.Observer) (res SegmentResul
 	// Copied, never appended in place: fan-out clones share the job's
 	// Observers backing array.
 	opts.Observers = append(append([]core.Observer(nil), j.Opts.Observers...), extra...)
-	rt, err = core.PrepareReplayFlatAt(j.Module, startCk, fl, endCk, opts)
+	run, err := core.PrepareReplayFlatAt(j.Module, startCk, fl, endCk, opts)
 	if err != nil {
 		res.Err = err
 		return res, nil
 	}
+	defer func() {
+		if rt != run {
+			run.Release()
+		}
+	}()
 	if startCk == nil && j.Setup != nil {
-		if err := j.Setup(rt); err != nil {
-			rt.Shutdown()
+		if err := j.Setup(run); err != nil {
+			run.Shutdown()
 			res.Err = err
 			return res, nil
 		}
 	}
-	rep, err := rt.RunReplay()
+	rep, err := run.RunReplay()
 	stage("execute", from, &res.Exec)
 	res.Report = rep
 	if rep == nil {
@@ -558,17 +564,18 @@ func execSegment(j *Job, plan *segPlan, extra []core.Observer) (res SegmentResul
 	res.Err = err // a reproduced fault arrives here, alongside the report
 
 	from = time.Now()
-	if endCk != nil {
+	switch sum := j.Handle.Summary(); {
+	case endCk != nil:
 		// Interior segment: RunReplay already byte-matched the end
 		// checkpoint, and nothing downstream reads this runtime.
-		rt = nil
-	} else if sum := j.Handle.Summary(); sum != nil && !sum.Partial && rep.Exit != sum.Exit {
+	case sum != nil && !sum.Partial && rep.Exit != sum.Exit:
 		// Final segment: the recorded exit value is the oracle (output is
 		// stitched across all segments by execute). A partial summary — the
 		// recording stopped before program end — carries no oracle.
 		res.Matched = false
 		res.Err = fmt.Errorf("trace: final segment replayed exit %d, recorded %d", rep.Exit, sum.Exit)
-		rt = nil
+	default:
+		rt = run
 	}
 	stage("stitch", from, &res.Stitch)
 	return res, rt
@@ -608,6 +615,15 @@ func execute(j *Job, plans []segPlan, workers int, factory func() []analysis.Ana
 	o.segs = make([]SegmentResult, n)
 	o.attrib = make([]SegmentAttribution, 0, n)
 	rts := make([]*core.Runtime, n)
+	// The plan owns the runtimes its segments hand back; they are released
+	// once the Finish passes below have read them, on every return path.
+	defer func() {
+		for _, rt := range rts {
+			if rt != nil {
+				rt.Release()
+			}
+		}
+	}()
 
 	// consume folds segment i into the outcome; it is called in segment
 	// order. tape is nil when nothing was captured for the segment.
