@@ -230,12 +230,20 @@ func TestAnalyzerCompositionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := record.NewFlattener()
+	for _, ep := range epochs {
+		f.Add(ep)
+	}
+	fl, err := f.Flat()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The heap image is read off the completed runtime, which the executor
 	// does not hand out; this is core's program-start replay driven directly.
 	replay := func(obs ...core.Observer) (*core.Report, []byte) {
 		t.Helper()
-		rt, err := core.PrepareReplay(mod, epochs, core.Options{
+		rt, err := core.PrepareReplayFlatAt(mod, nil, fl, nil, core.Options{
 			DelayOnDivergence: true, Observers: obs,
 		})
 		if err != nil {

@@ -1,29 +1,30 @@
 package core
 
-// Persistable epoch checkpoints and mid-trace replay resume.
+// Epoch checkpoints: the one state every replay starts from.
 //
-// The runtime already takes a full checkpoint at every epoch boundary
-// (takeCheckpoint, §3.1): the memory snapshot, allocator metadata, file
-// positions, every thread's CPU context and blocking situation, and shadow
-// synchronization state. In-situ those checkpoints exist only to bound
-// rollback to one epoch (§3.4); offline replay (replay.go) discarded them
-// and re-executed from program start, which made replay latency — and the
-// cost of a single divergence retry — proportional to the whole trace.
+// The runtime takes a Checkpoint at every epoch boundary (takeCheckpoint,
+// §3.1): the memory snapshot, allocator metadata, file positions, every
+// thread's CPU context, exit value and blocking situation, and shadow
+// synchronization state. In situ it is the rollback state that bounds
+// re-execution to one epoch (§3.4); the trace layer persists the same value
+// (Options.CheckpointEvery / Options.CheckpointSink, checkpoint frames).
 //
-// This file exports the checkpoint so the trace layer can persist it
-// (Options.CheckpointEvery / Options.CheckpointSink, checkpoint frames), and
-// implements the inverse: PrepareReplayFlatAt rebuilds a runtime *mid-trace*
-// from a persisted checkpoint, so one long trace becomes independently
-// replayable segments whose divergence retries roll back to the segment
-// start — the paper's in-situ replay bound, recovered offline. A segment's
-// end is pinned by the next checkpoint's per-thread instruction counts
-// (interp.CPU.SetBoundary): each thread stops exactly where the recording's
-// boundary caught it, which is what makes the segment's final memory image
-// byte-comparable against the next checkpoint (the stitching check).
+// Offline, PrepareReplayFlatAt installs a checkpoint as the rollback state
+// of a fresh runtime — a persisted one to resume mid-trace, or the
+// program-start one it synthesizes as Run takes it — and RunReplay's first
+// attempt is an ordinary rollback into it. One long trace thus becomes
+// independently replayable segments whose divergence retries roll back to
+// the segment start: the paper's in-situ replay bound, recovered offline. A
+// segment's end is pinned by the next checkpoint's per-thread instruction
+// counts (interp.CPU.SetBoundary): each thread stops exactly where the
+// recording's boundary caught it, which is what makes the segment's final
+// memory image byte-comparable against the next checkpoint (the stitching
+// check).
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/heap"
 	"repro/internal/interp"
@@ -32,13 +33,14 @@ import (
 	"repro/internal/vsys"
 )
 
-// BlockState mirrors a thread's position inside a blocking primitive
-// (blockInfo) in exported, encode-stable form.
+// BlockState is a thread's position inside a blocking primitive, the state
+// that must survive rollback for a thread already waiting at the checkpoint
+// (§3.1: waiting threads are checkpointed in their waiting state).
 type BlockState struct {
 	// Kind: 0 none, 1 condition-variable wait, 2 barrier.
 	Kind  int32
-	VAddr uint64
-	MAddr uint64
+	VAddr uint64 // condition variable or barrier address
+	MAddr uint64 // mutex released by a cond wait
 }
 
 // ThreadState is one thread's checkpointed execution state.
@@ -54,8 +56,9 @@ type ThreadState struct {
 	Ctx *interp.Context
 }
 
-// VarState is one shadow synchronization variable's checkpointed state, in
-// shadow-creation order so a resuming runtime reproduces the recording's
+// VarState is one shadow synchronization variable's checkpointed state:
+// everything a waiting thread's re-entry depends on. A checkpoint lists them
+// in shadow-creation order, so a resuming runtime reproduces the recording's
 // shadow IDs (the index words cached inside VM memory embed them).
 type VarState struct {
 	Addr    uint64
@@ -68,10 +71,11 @@ type VarState struct {
 	Gen     int64
 }
 
-// Checkpoint is a fully exported epoch-boundary checkpoint: everything a
-// fresh process needs to resume replaying the trace at Epoch. Instances
-// handed to Options.CheckpointSink — and those a trace reader reconstructs —
-// are immutable; concurrent segment replays share them.
+// Checkpoint is an epoch-boundary checkpoint: everything needed to resume
+// re-executing at Epoch, in this process or a fresh one. It is the runtime's
+// rollback state, and the instances handed to Options.CheckpointSink — and
+// those a trace reader reconstructs — are immutable: concurrent segment
+// replays share them, and rollback only reads them.
 type Checkpoint struct {
 	// Epoch is the 1-based epoch this checkpoint begins: a replay seeded from
 	// it re-executes epochs Epoch..j.
@@ -86,7 +90,8 @@ type Checkpoint struct {
 	Snap *mem.Snapshot
 	// Alloc is the allocator metadata snapshot.
 	Alloc heap.AllocSnapshot
-	// FS is the virtual filesystem state (file contents + open descriptors).
+	// FS is the virtual filesystem state: the open descriptors always, the
+	// file contents only in a checkpoint taken for persistence.
 	FS *vsys.State
 	// Threads holds every non-reclaimed thread, ascending TID.
 	Threads []ThreadState
@@ -95,46 +100,56 @@ type Checkpoint struct {
 	Vars []VarState
 }
 
-// captureCheckpoint exports the in-situ checkpoint the runtime just took
-// (rt.ckpt) together with the VFS state. Called from beginEpoch while the
-// world is quiescent.
-func (rt *Runtime) captureCheckpoint() *Checkpoint {
-	ck := rt.ckpt
-	out := &Checkpoint{
-		Epoch:     ck.epoch,
-		OutputLen: len(rt.Output()),
-		Snap:      ck.snap,
-		Alloc:     ck.allocSnap,
-		FS:        rt.os.CheckpointState(),
+// thread returns tid's state, or nil for a thread born after the checkpoint
+// or reclaimed before it.
+func (ck *Checkpoint) thread(tid int32) *ThreadState {
+	i := sort.Search(len(ck.Threads), func(i int) bool { return ck.Threads[i].TID >= tid })
+	if i < len(ck.Threads) && ck.Threads[i].TID == tid {
+		return &ck.Threads[i]
 	}
+	return nil
+}
+
+// takeCheckpoint captures the state at the beginning of the current epoch
+// (§3.1) while the world is quiescent. File contents are copied only for a
+// checkpoint that will be persisted; rollback restores descriptor positions
+// alone, as replayed writes reproduce contents.
+func (rt *Runtime) takeCheckpoint(persist bool) *Checkpoint {
+	ck := &Checkpoint{
+		Epoch:     rt.epochSeq,
+		OutputLen: len(rt.Output()),
+		Snap:      rt.mem.Snapshot(),
+		Alloc:     rt.alloc.Snapshot(),
+		FS:        rt.os.CheckpointState(persist),
+	}
+	rt.stats.CheckpointPages += int64(ck.Snap.PagesCopied())
 	rt.mu.Lock()
-	out.NextTID = rt.nextTID
-	threads := append([]*Thread(nil), rt.threads...)
-	shadows := rt.shadowList()
-	rt.mu.Unlock()
-	for _, t := range threads {
+	ck.NextTID = rt.nextTID
+	ck.Threads = make([]ThreadState, 0, len(rt.threads))
+	for _, t := range rt.threads {
 		if t == nil || t.state.Load() == tsDead {
 			continue
 		}
-		tc := ck.threads[t.id]
-		out.Threads = append(out.Threads, ThreadState{
+		ts := ThreadState{
 			TID:     t.id,
 			EntryFn: int32(t.entryFn),
-			Exited:  tc.exited,
-			Joined:  tc.joined,
+			Exited:  t.state.Load() == tsExited,
+			Joined:  t.joined,
 			ExitVal: t.exitVal,
-			Block:   BlockState{Kind: int32(tc.block.kind), VAddr: tc.block.vaddr, MAddr: tc.block.maddr},
-			Ctx:     tc.ctx,
-		})
+			Block:   t.block,
+		}
+		if !ts.Exited {
+			ts.Ctx = t.cpu.GetContext()
+		}
+		ck.Threads = append(ck.Threads, ts)
 	}
-	for _, s := range shadows {
-		vc := ck.varState[s.id]
-		out.Vars = append(out.Vars, VarState{
-			Addr: s.addr, Locked: vc.locked, Holder: vc.holder, Waiters: vc.waiters,
-			Fuel: vc.fuel, Parties: vc.parties, Arrived: vc.arrived, Gen: vc.gen,
-		})
+	shadows := rt.shadowList()
+	rt.mu.Unlock()
+	ck.Vars = make([]VarState, len(shadows))
+	for i, s := range shadows {
+		ck.Vars[i] = s.checkpoint()
 	}
-	return out
+	return ck
 }
 
 // checkpointDue reports whether the epoch that just began should be
@@ -149,11 +164,38 @@ func (rt *Runtime) checkpointDue() bool {
 	return (rt.epochSeq-1)%int64(rt.opts.CheckpointEvery) == 0
 }
 
-// primeAtCheckpoint rebuilds the world mid-trace from the persisted
-// checkpoint start: the restored in-situ checkpoint (which rollbackAndReplay
-// both seeds the segment from initially and re-seeds it from on divergence
-// retries), the thread cast, the shadow table and the virtual filesystem.
+// startCheckpoint synthesizes the checkpoint Run takes at program start, for
+// a replay from there: epoch 1, the main thread about to enter the module's
+// entry function, the initialized globals, the empty allocator and the two
+// pseudo-variables. It carries no file contents — the caller's setup
+// installs the input files after construction — so rollback into it
+// restores descriptor positions only, as in-situ rollback does.
+func (rt *Runtime) startCheckpoint(fl *record.Flat) (*Checkpoint, error) {
+	if len(fl.Threads) == 0 || len(fl.Threads[0].Events) == 0 {
+		return nil, errors.New("core: trace has no main-thread events")
+	}
+	lo, size := rt.mem.StackRange(0)
+	cpu := interp.New(rt.mod, rt.mem, nil, lo, size)
+	cpu.Start(rt.mod.Entry, nil)
+	rt.epochSeq = 1
+	ck := rt.takeCheckpoint(false)
+	ck.NextTID = 1
+	ck.Threads = []ThreadState{{EntryFn: int32(rt.mod.Entry), Ctx: cpu.GetContext()}}
+	return ck, nil
+}
+
+// primeAtCheckpoint builds the world a replay of fl resumes into from start:
+// the thread cast start describes, every thread fl logs past its watermark
+// as an embryo, and the shadow table. It installs start as the rollback
+// state, so RunReplay's first attempt is an ordinary rollback into it, and
+// so is every divergence retry.
 func (rt *Runtime) primeAtCheckpoint(start *Checkpoint, fl *record.Flat, end *Checkpoint) error {
+	if fl.First != start.Epoch {
+		return fmt.Errorf("core: segment epochs begin at %d, checkpoint at %d", fl.First, start.Epoch)
+	}
+	if last := fl.First + fl.Epochs - 1; end != nil && end.Epoch != last+1 {
+		return fmt.Errorf("core: segment ends at epoch %d but next checkpoint begins %d", last, end.Epoch)
+	}
 	rt.epochSeq = start.Epoch
 
 	// Geometry and allocator selection must match the checkpoint or restores
@@ -168,38 +210,24 @@ func (rt *Runtime) primeAtCheckpoint(start *Checkpoint, fl *record.Flat, end *Ch
 		return errors.New("core: checkpoint allocator snapshot does not match the configured allocator")
 	}
 
-	ck := &checkpoint{
-		epoch:     start.Epoch,
-		snap:      start.Snap,
-		allocSnap: start.Alloc,
-		positions: make(map[int64]int64, len(start.FS.FDs)),
-		threads:   make(map[int32]threadCkpt, len(start.Threads)),
-		varState:  make(map[int32]varCkpt, len(start.Vars)),
-	}
-	for _, f := range start.FS.FDs {
-		ck.positions[f.FD] = f.Pos
-	}
-
 	// Rebuild the cast: every TID below the watermark is either a
 	// checkpointed thread (live or parked-exited) or a reclaimed slot that
 	// only holds its ID.
-	byTID := make(map[int32]*ThreadState, len(start.Threads))
 	for i := range start.Threads {
 		ts := &start.Threads[i]
-		if ts.TID < 0 || ts.TID >= start.NextTID {
-			return fmt.Errorf("core: checkpoint thread %d outside TID watermark %d", ts.TID, start.NextTID)
+		if ts.TID < 0 || ts.TID >= start.NextTID || (i > 0 && ts.TID <= start.Threads[i-1].TID) {
+			return fmt.Errorf("core: checkpoint thread %d out of order or outside TID watermark %d", ts.TID, start.NextTID)
 		}
 		if !ts.Exited && ts.Ctx == nil {
 			return fmt.Errorf("core: checkpoint thread %d is live but has no context", ts.TID)
 		}
-		byTID[ts.TID] = ts
 	}
-	if byTID[0] == nil {
+	if start.thread(0) == nil {
 		return errors.New("core: checkpoint lacks the main thread")
 	}
 	live := false
 	for id := int32(0); id < start.NextTID; id++ {
-		ts := byTID[id]
+		ts := start.thread(id)
 		if ts == nil {
 			// Reclaimed before the boundary: a dead placeholder keeps the TID
 			// sequence (and stack-slot assignment) aligned.
@@ -219,30 +247,20 @@ func (rt *Runtime) primeAtCheckpoint(start *Checkpoint, fl *record.Flat, end *Ch
 		if err != nil {
 			return err
 		}
-		if t.id != id {
-			return fmt.Errorf("core: checkpoint thread %d materialized as %d", id, t.id)
-		}
-		t.exitVal = ts.ExitVal
-		t.bornEpoch = 0 // born before the segment
-		ck.threads[id] = threadCkpt{
-			ctx:    ts.Ctx,
-			exited: ts.Exited,
-			joined: ts.Joined,
-			block:  blockInfo{kind: blockKind(ts.Block.Kind), vaddr: ts.Block.VAddr, maddr: ts.Block.MAddr},
-		}
+		go t.trampoline()
 		if !ts.Exited {
 			live = true
 		}
-		go t.trampoline()
 	}
 	if !live {
 		return errors.New("core: checkpoint has no live thread to resume")
 	}
-	// Threads born during the segment start as embryos; their replayed
-	// creation events release them (§3.5.1).
+	// Threads born during the replayed range start as embryos; their replayed
+	// creation events release them (§3.5.1), and a rollback reverts them to
+	// embryos again, as for threads born during an in-situ dead epoch.
 	for _, tl := range fl.Threads {
 		if tl.TID < start.NextTID {
-			ts := byTID[tl.TID]
+			ts := start.thread(tl.TID)
 			if ts == nil {
 				return fmt.Errorf("core: segment epochs log thread %d, reclaimed before the checkpoint", tl.TID)
 			}
@@ -259,17 +277,17 @@ func (rt *Runtime) primeAtCheckpoint(start *Checkpoint, fl *record.Flat, end *Ch
 		if err != nil {
 			return err
 		}
+		go t.trampoline() // before the error return below: shutdown reaps it
 		if t.id != tl.TID {
-			return fmt.Errorf("core: trace thread %d materialized as %d", tl.TID, t.id)
+			return fmt.Errorf("core: non-dense thread IDs past the checkpoint: trace thread %d materialized as %d", tl.TID, t.id)
 		}
-		go t.trampoline()
 	}
 
 	// Shadow variables, in checkpoint creation order so IDs reproduce the
 	// recording's (the index words inside the restored memory embed them).
-	// When the segment has an end checkpoint, its table — a superset of the
+	// When the range has an end checkpoint, its table — a superset of the
 	// start's, since shadow creation is append-only — additionally fixes the
-	// IDs of variables first used *during* the segment, including those
+	// IDs of variables first used *during* the range, including those
 	// (barriers, bare signals) that never enter a per-variable order list.
 	seed := start.Vars
 	if end != nil {
@@ -287,22 +305,7 @@ func (rt *Runtime) primeAtCheckpoint(start *Checkpoint, fl *record.Flat, end *Ch
 	if err := rt.seedShadows(seed); err != nil {
 		return err
 	}
-	for i := range start.Vars {
-		vs := &start.Vars[i]
-		ck.varState[int32(i)] = varCkpt{
-			locked: vs.Locked, holder: vs.Holder, waiters: vs.Waiters, fuel: vs.Fuel,
-			parties: vs.Parties, arrived: vs.Arrived, gen: vs.Gen,
-		}
-	}
-
-	// The virtual filesystem resumes at the boundary's contents and open
-	// descriptors; divergence retries restore positions only, as in-situ
-	// rollback does (replayed writes reproduce contents).
-	if err := rt.os.RestoreState(start.FS); err != nil {
-		return err
-	}
-	rt.ckpt = ck
-	rt.segStart = start
+	rt.ckpt = start
 	return nil
 }
 
@@ -347,11 +350,7 @@ func (rt *Runtime) verifySegmentEnd() error {
 		return fmt.Errorf("core: segment end state diverges from checkpoint at epoch %d (%d bytes differ)",
 			end.Epoch, snap.DiffCount(end.Snap))
 	}
-	startLen := 0
-	if rt.segStart != nil {
-		startLen = rt.segStart.OutputLen
-	}
-	if got, want := len(rt.Output()), end.OutputLen-startLen; got != want {
+	if got, want := len(rt.Output()), end.OutputLen-rt.ckpt.OutputLen; got != want {
 		return fmt.Errorf("core: segment produced %d output bytes, recording attributed %d", got, want)
 	}
 	return nil

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/heap"
-	"repro/internal/interp"
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/record"
 )
@@ -108,26 +105,6 @@ type EpochEndInfo struct {
 	TID int32
 	// Fault is the trap error when Reason is StopFault.
 	Fault error
-}
-
-// checkpoint is everything needed to roll the world back to an epoch
-// beginning (§3.1): the memory snapshot, allocator metadata, file positions,
-// per-thread CPU contexts and blocking situations, and shadow
-// synchronization state.
-type checkpoint struct {
-	epoch     int64
-	snap      *mem.Snapshot
-	allocSnap heap.AllocSnapshot
-	positions map[int64]int64
-	threads   map[int32]threadCkpt
-	varState  map[int32]varCkpt
-}
-
-type threadCkpt struct {
-	ctx    *interp.Context
-	exited bool
-	joined bool
-	block  blockInfo
 }
 
 func (rt *Runtime) phase() int32         { return rt.ph.Load() }
@@ -516,19 +493,19 @@ func (rt *Runtime) beginEpoch() error {
 	rt.clearLogs()
 	rt.epochSeq++
 	rt.stats.Epochs++
-	rt.takeCheckpoint()
-	if rt.checkpointDue() {
-		// Export while still quiescent: the VFS capture and the shared
-		// snapshot must not race resumed threads. One capture feeds both the
-		// checkpoint sink and the flight recorder.
-		ck := rt.captureCheckpoint()
+	// Persist while still quiescent: the VFS capture and the shared snapshot
+	// must not race resumed threads. The rollback state itself feeds both the
+	// checkpoint sink and the flight recorder.
+	due := rt.checkpointDue()
+	rt.ckpt = rt.takeCheckpoint(due)
+	if due {
 		if rt.opts.CheckpointSink != nil {
-			if err := rt.opts.CheckpointSink(ck); err != nil {
+			if err := rt.opts.CheckpointSink(rt.ckpt); err != nil {
 				return fmt.Errorf("core: checkpoint sink: %w", err)
 			}
 		}
 		if rt.opts.FlightRecorder != nil {
-			if err := rt.opts.FlightRecorder.RecordCheckpoint(ck); err != nil {
+			if err := rt.opts.FlightRecorder.RecordCheckpoint(rt.ckpt); err != nil {
 				return fmt.Errorf("core: flight recorder: %w", err)
 			}
 		}
@@ -538,37 +515,6 @@ func (rt *Runtime) beginEpoch() error {
 	rt.stopMu.Unlock()
 	rt.setPhase(phRecord)
 	return nil
-}
-
-// takeCheckpoint captures the rollback state for the opening epoch.
-func (rt *Runtime) takeCheckpoint() {
-	ck := &checkpoint{
-		epoch:     rt.epochSeq,
-		snap:      rt.mem.Snapshot(),
-		allocSnap: rt.alloc.Snapshot(),
-		positions: rt.os.Positions(),
-		threads:   make(map[int32]threadCkpt),
-		varState:  make(map[int32]varCkpt),
-	}
-	rt.stats.CheckpointPages += int64(ck.snap.PagesCopied())
-	rt.mu.Lock()
-	threads := append([]*Thread(nil), rt.threads...)
-	shadows := rt.shadowList()
-	rt.mu.Unlock()
-	for _, t := range threads {
-		if t == nil || t.state.Load() == tsDead {
-			continue
-		}
-		tc := threadCkpt{exited: t.state.Load() == tsExited, joined: t.joined, block: t.block}
-		if !tc.exited {
-			tc.ctx = t.cpu.GetContext()
-		}
-		ck.threads[t.id] = tc
-	}
-	for _, s := range shadows {
-		ck.varState[s.id] = s.checkpoint()
-	}
-	rt.ckpt = ck
 }
 
 // rollbackAndReplay implements §3.4: unwind every thread to its trampoline,
@@ -584,39 +530,41 @@ func (rt *Runtime) rollbackAndReplay() error {
 
 	// 2. Restore shared state while every thread is at its trampoline.
 	if rt.offline {
-		// An offline retry restarts the whole program; discard the diverged
+		// An offline attempt restarts the replayed range; discard the diverged
 		// attempt's re-emitted output so a matched attempt's output is whole.
 		rt.outMu.Lock()
 		rt.outBuf.Reset()
 		rt.outMu.Unlock()
 	}
+	ck := rt.ckpt
 	rt.clearDeferred()
-	rt.mem.Restore(rt.ckpt.snap)
-	rt.alloc.Restore(rt.ckpt.allocSnap)
-	rt.os.RestorePositions(rt.ckpt.positions)
+	rt.mem.Restore(ck.Snap)
+	rt.alloc.Restore(ck.Alloc)
+	rt.os.RestorePositions(ck.FS.FDs)
 	rt.mu.Lock()
 	threads := append([]*Thread(nil), rt.threads...)
 	shadows := rt.shadowList()
 	rt.mu.Unlock()
 	for _, s := range shadows {
-		if st, ok := rt.ckpt.varState[s.id]; ok {
-			s.restore(st)
+		if int(s.id) < len(ck.Vars) {
+			s.restore(ck.Vars[s.id])
 		} else {
 			// Variable first used during the dead epoch: reset wholesale.
-			s.restore(varCkpt{holder: -1})
+			s.restore(VarState{Holder: -1})
 		}
 	}
 
 	// Thread states a resumed thread may consult (a joiner tests its joinee
-	// for tsExited) are settled before anybody is resumed: a thread that had
-	// exited before the checkpoint stays at its trampoline as it is, exit
-	// value intact; one born during the dead epoch becomes an embryo again
-	// and waits for its replayed create event; one that was live at the
-	// checkpoint is tsUnwound even if it ran to its exit in the abandoned
-	// epoch — a lower-id joiner resumed before it must not take that stale
-	// exit for the replayed one. Either way its start channel is empty —
-	// whoever sent its last message counted it running first, so the count
-	// could not reach zero above until the message was consumed.
+	// for tsExited, then reads its exit value) are settled before anybody is
+	// resumed: a thread that had exited before the checkpoint stays at its
+	// trampoline as it is; one born during the dead epoch becomes an embryo
+	// again and waits for its replayed create event; one that was live at
+	// the checkpoint is tsUnwound even if it ran to its exit in the
+	// abandoned epoch — a lower-id joiner resumed before it must not take
+	// that stale exit for the replayed one. Every checkpointed thread gets
+	// its checkpointed exit value back. Either way its start channel is
+	// empty — whoever sent its last message counted it running first, so the
+	// count could not reach zero above until the message was consumed.
 	for _, t := range threads {
 		if t == nil || t.state.Load() == tsDead {
 			continue
@@ -626,14 +574,16 @@ func (rt *Runtime) rollbackAndReplay() error {
 		t.exitMu.Lock()
 		t.joiners = t.joiners[:0]
 		t.exitMu.Unlock()
-		switch tc, inCkpt := rt.ckpt.threads[t.id]; {
-		case !inCkpt:
+		ts := ck.thread(t.id)
+		if ts == nil {
 			t.setState(tsEmbryo)
-		case tc.exited:
-			t.joined = tc.joined
+			continue
+		}
+		t.joined = ts.Joined
+		t.exitVal = ts.ExitVal
+		if ts.Exited {
 			t.setState(tsExited) // already so in situ; a segment's cast starts as embryos
-		default:
-			t.joined = tc.joined
+		} else {
 			t.setState(tsUnwound)
 		}
 	}
@@ -652,9 +602,9 @@ func (rt *Runtime) rollbackAndReplay() error {
 		if t == nil || t.state.Load() == tsDead {
 			continue
 		}
-		if tc, inCkpt := rt.ckpt.threads[t.id]; inCkpt && !tc.exited {
+		if ts := ck.thread(t.id); ts != nil && !ts.Exited {
 			t.setState(tsRunning)
-			t.startCh <- startMsg{kind: smResume, ctx: tc.ctx, block: tc.block}
+			t.startCh <- startMsg{kind: smResume, ctx: ts.Ctx, block: ts.Block}
 		}
 	}
 	return nil

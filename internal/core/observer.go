@@ -168,7 +168,7 @@ func (s *observerSet) add(o Observer) {
 }
 
 // AttachObserver registers an observer after construction; it must be called
-// before Run or RunReplay. Threads that already exist (PrepareReplay
+// before Run or RunReplay. Threads that already exist (PrepareReplayFlatAt
 // pre-creates the whole cast) are retrofitted with the access hook when o
 // observes accesses.
 func (rt *Runtime) AttachObserver(o Observer) {

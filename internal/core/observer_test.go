@@ -160,7 +160,7 @@ func TestObserverStreamRecording(t *testing.T) {
 
 // TestObserverStreamOfflineReplay: the same program's stored trace,
 // replayed offline with an observer attached via AttachObserver (the
-// retrofit path — PrepareReplay pre-creates every thread), delivers the
+// retrofit path — PrepareReplayFlatAt pre-creates every thread), delivers the
 // same per-variable sync counts as the recording observer saw.
 func TestObserverStreamOfflineReplay(t *testing.T) {
 	mod := buildCounter(3, 20)
@@ -179,7 +179,7 @@ func TestObserverStreamOfflineReplay(t *testing.T) {
 	}
 
 	obs := &seqObserver{}
-	rrt, err := PrepareReplay(mod, epochs, Options{DelayOnDivergence: true})
+	rrt, err := prepareReplay(mod, epochs, Options{DelayOnDivergence: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,14 @@ func TestObserverStreamOfflineReplay(t *testing.T) {
 		return out
 	}
 	// Identical replay must deliver identical per-variable acquisition
-	// counts (obs.resets counts abandoned attempts; a diverged attempt's
-	// partial stream is discarded, so compare only if no retry happened —
-	// with retries the final attempt still ends matched, but our counters
-	// accumulate, hence the guard).
-	if obs.resets == 0 {
+	// counts (obs.resets counts attempts, each a rollback into the start
+	// checkpoint; a diverged attempt's partial stream is discarded, so
+	// compare only if no retry happened — with retries the final attempt
+	// still ends matched, but our counters accumulate, hence the guard).
+	if obs.resets != 1 && rrt.StatsSnapshot().Replays == 1 {
+		t.Fatalf("one attempt delivered %d resets, want the one rollback into the start checkpoint", obs.resets)
+	}
+	if obs.resets == 1 {
 		rec := count(recObs.syncs, SyncAcquire)
 		rep := count(obs.syncs, SyncAcquire)
 		if len(rec) != len(rep) {

@@ -403,10 +403,11 @@ func (o *settleObserver) OnReset() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.live = map[int32]bool{}
-	for tid, tc := range o.rt.ckpt.threads {
-		if tc.exited {
+	for _, ts := range o.rt.ckpt.Threads {
+		if ts.Exited {
 			continue
 		}
+		tid := ts.TID
 		o.live[tid] = true
 		if o.exits[tid] {
 			o.redone++
@@ -418,14 +419,10 @@ func (o *settleObserver) OnReset() {
 	o.exits = map[int32]bool{}
 }
 
-// TestRollbackSettlesExitedThreads: a thread that was live at the checkpoint
-// and ran to its exit in the abandoned epoch must not still read as exited
-// when the first thread is resumed. Resumes go out in id order and a replayed
-// join is gated by the joinee's state alone, so main — resumed first — would
-// otherwise complete its join against the abandoned exit: stale exit value,
-// join callback before exit callback, every event matching.
-func TestRollbackSettlesExitedThreads(t *testing.T) {
-	const workers, iters = 4, 30
+// buildJoinSum: main creates workers threads that each take a shared mutex
+// iters times and return 100 plus their index, then joins them in creation
+// order and returns the sum of their exit values.
+func buildJoinSum(workers int, iters int64) *tir.Module {
 	mb := tir.NewModuleBuilder()
 	gMutex := mb.Global("mutex", 8)
 	gCounter := mb.Global("counter", 8)
@@ -472,9 +469,19 @@ func TestRollbackSettlesExitedThreads(t *testing.T) {
 		m.Seal()
 	}
 	mb.SetEntry("main")
+	return mb.MustBuild()
+}
 
+// TestRollbackSettlesExitedThreads: a thread that was live at the checkpoint
+// and ran to its exit in the abandoned epoch must not still read as exited
+// when the first thread is resumed. Resumes go out in id order and a replayed
+// join is gated by the joinee's state alone, so main — resumed first — would
+// otherwise complete its join against the abandoned exit: stale exit value,
+// join callback before exit callback, every event matching.
+func TestRollbackSettlesExitedThreads(t *testing.T) {
+	const workers, iters = 4, 30
 	o := &settleObserver{exits: map[int32]bool{}}
-	rt, err := New(mb.MustBuild(), Options{
+	rt, err := New(buildJoinSum(workers, iters), Options{
 		EventCap:  32,
 		VarCap:    256,
 		Observers: []Observer{o},
@@ -498,6 +505,75 @@ func TestRollbackSettlesExitedThreads(t *testing.T) {
 		t.Fatal(strings.Join(o.errs, "; "))
 	}
 	if o.redone == 0 {
+		t.Fatal("no rollback found a thread that had exited in the abandoned epoch: the test exercised nothing")
+	}
+}
+
+// exitValObserver reads, at every rollback — OnReset runs after the settle
+// step and before the first resume — the exit value of each thread the
+// restored checkpoint holds.
+type exitValObserver struct {
+	rt *Runtime
+
+	mu      sync.Mutex
+	exited  map[int32]bool // exit callbacks since the last reset
+	checked int            // live-at-checkpoint threads read with an abandoned exit behind them
+	errs    []string
+}
+
+func (o *exitValObserver) OnThreadCreate(parent, child int32) {}
+func (o *exitValObserver) OnThreadJoin(joiner, joinee int32)  {}
+
+func (o *exitValObserver) OnThreadExit(tid int32) {
+	o.mu.Lock()
+	o.exited[tid] = true
+	o.mu.Unlock()
+}
+
+func (o *exitValObserver) OnReset() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, ts := range o.rt.ckpt.Threads {
+		if !ts.Exited && o.exited[ts.TID] {
+			o.checked++
+		}
+		if got := o.rt.thread(ts.TID).exitVal; got != ts.ExitVal {
+			o.errs = append(o.errs, fmt.Sprintf("thread %d reads exit value %d after the rollback, checkpoint holds %d", ts.TID, got, ts.ExitVal))
+		}
+	}
+	o.exited = map[int32]bool{}
+}
+
+// TestRollbackRestoresExitValue: a thread live at the checkpoint that exits
+// with a value in an epoch that is then rolled back must read the
+// checkpoint's exit value again until it re-exits — the abandoned epoch's
+// value belongs to no execution the replay reproduces.
+func TestRollbackRestoresExitValue(t *testing.T) {
+	const workers, iters = 4, 30
+	o := &exitValObserver{exited: map[int32]bool{}}
+	rt, err := New(buildJoinSum(workers, iters), Options{
+		EventCap:  32,
+		VarCap:    256,
+		Observers: []Observer{o},
+		OnEpochEnd: func(rt *Runtime, info EpochEndInfo) Decision {
+			return Replay
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.rt = rt
+	rep, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(workers*100 + workers*(workers-1)/2); rep.Exit != want {
+		t.Fatalf("sum of joined exit values = %d, want %d", rep.Exit, want)
+	}
+	if len(o.errs) > 0 {
+		t.Fatal(strings.Join(o.errs, "; "))
+	}
+	if o.checked == 0 {
 		t.Fatal("no rollback found a thread that had exited in the abandoned epoch: the test exercised nothing")
 	}
 }
@@ -538,7 +614,7 @@ func TestStallVerdictIsDeterministic(t *testing.T) {
 	if swapped < 0 {
 		t.Fatal("no thread locked twice")
 	}
-	rp, err := PrepareReplay(mod, epochs, Options{MaxReplays: maxReplays, DelayOnDivergence: true})
+	rp, err := prepareReplay(mod, epochs, Options{MaxReplays: maxReplays, DelayOnDivergence: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,8 @@ type Options struct {
 	// synchronization, thread-lifecycle, allocation, syscall, memory-access,
 	// epoch-boundary, and reset callbacks. The replay-time analysis
 	// subsystem (internal/analysis) and the §4 detectors (internal/detect)
-	// plug in here. Observers survive PrepareReplay, unlike the recording
-	// hooks above.
+	// plug in here. Observers survive PrepareReplayFlatAt, unlike the
+	// recording hooks above.
 	Observers []Observer
 	// Span, when set, is the parent the runtime records its epoch timeline
 	// under: one child span per epoch boundary (start of the epoch to the
@@ -205,24 +205,24 @@ type Runtime struct {
 	intrCause error
 
 	epochSeq int64
-	ckpt     *checkpoint
+	// ckpt is the rollback state: the checkpoint the current epoch began
+	// with in situ, the replayed range's start offline. Immutable once
+	// installed.
+	ckpt *Checkpoint
 	// epochStart anchors the current epoch's wall time; qStart/qEnd are the
 	// most recent quiescence wait. All three are monitor-goroutine state
 	// (initialized before the monitor starts).
 	epochStart   time.Time
 	qStart, qEnd time.Time
 
-	// offline marks a runtime built by PrepareReplay: it re-executes a stored
-	// trace from program start instead of recording, with program output
+	// offline marks a runtime built by PrepareReplayFlatAt: it re-executes a
+	// stored epoch range from ckpt instead of recording, with program output
 	// re-emitted (there is no original execution to duplicate) and recorded
 	// opens materialized through the virtual OS.
 	offline bool
-	// segStart/segEnd bound a segment replay built by PrepareReplayFlatAt:
-	// segStart is the restored checkpoint RunReplay resumes from (nil when
-	// replaying from program start), segEnd the next checkpoint the end
-	// state must byte-match (nil for the trace's final segment).
-	segStart *Checkpoint
-	segEnd   *Checkpoint
+	// segEnd is the checkpoint that closes an offline range, which the end
+	// state must byte-match; nil when the range runs to program end.
+	segEnd *Checkpoint
 
 	deferredMu sync.Mutex
 	deferred   []deferredOp
@@ -325,17 +325,16 @@ func (rt *Runtime) newThread(fn int, arg uint64, hasArg bool) (*Thread, error) {
 	}
 	rt.nextTID++
 	t := &Thread{
-		id:        id,
-		rt:        rt,
-		list:      record.NewThreadList(rt.opts.EventCap),
-		entryFn:   fn,
-		entryArg:  arg,
-		hasArg:    hasArg,
-		bornEpoch: rt.epochSeq,
-		wakeCh:    make(chan struct{}, 1),
-		startCh:   make(chan startMsg, 1),
-		doneCh:    make(chan struct{}),
-		delayRng:  rand.New(rand.NewSource(int64(id)*2654435761 + 97)),
+		id:       id,
+		rt:       rt,
+		list:     record.NewThreadList(rt.opts.EventCap),
+		entryFn:  fn,
+		entryArg: arg,
+		hasArg:   hasArg,
+		wakeCh:   make(chan struct{}, 1),
+		startCh:  make(chan startMsg, 1),
+		doneCh:   make(chan struct{}),
+		delayRng: rand.New(rand.NewSource(int64(id)*2654435761 + 97)),
 	}
 	stackBase, stackSize := rt.mem.StackRange(int(id))
 	t.cpu = interp.New(rt.mod, rt.mem, &threadHooks{t: t}, stackBase, stackSize)
@@ -413,7 +412,7 @@ func (rt *Runtime) Run() (*Report, error) {
 	rt.epochSeq = 1
 	rt.stats.Epochs = 1
 	rt.epochStart = time.Now() //ir:wallclock epoch timeline telemetry
-	rt.takeCheckpoint()
+	rt.ckpt = rt.takeCheckpoint(false)
 	rt.setPhase(phRecord)
 	go rt.monitor()
 	go main.trampoline()

@@ -58,29 +58,17 @@ type syncVar struct {
 	gen     int64
 }
 
-// varCkpt is the portion of shadow state captured at epoch begin and
-// restored on rollback: everything a waiting thread's re-entry depends on.
-type varCkpt struct {
-	locked  bool
-	holder  int32
-	waiters int
-	fuel    int
-	parties int64
-	arrived int64
-	gen     int64
-}
-
-func (s *syncVar) checkpoint() varCkpt {
+func (s *syncVar) checkpoint() VarState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return varCkpt{locked: s.locked, holder: s.holder, waiters: s.waiters,
-		fuel: s.fuel, parties: s.parties, arrived: s.arrived, gen: s.gen}
+	return VarState{Addr: s.addr, Locked: s.locked, Holder: s.holder, Waiters: s.waiters,
+		Fuel: s.fuel, Parties: s.parties, Arrived: s.arrived, Gen: s.gen}
 }
 
-func (s *syncVar) restore(c varCkpt) {
+func (s *syncVar) restore(c VarState) {
 	s.mu.Lock()
-	s.locked, s.holder, s.waiters = c.locked, c.holder, c.waiters
-	s.fuel, s.parties, s.arrived, s.gen = c.fuel, c.parties, c.arrived, c.gen
+	s.locked, s.holder, s.waiters = c.Locked, c.Holder, c.Waiters
+	s.fuel, s.parties, s.arrived, s.gen = c.Fuel, c.Parties, c.Arrived, c.Gen
 	s.order.ResetReplay()
 	// Rollback has unwound every thread; whoever is still listed is not
 	// waiting here any more.
@@ -412,9 +400,9 @@ func (t *Thread) condWait(caddr, maddr uint64) error {
 	// rollback with resumeBlock set: the restored shared state (waiter count,
 	// released mutex) already accounts for it, so it skips the entry phase
 	// (§3.1: waiting threads are checkpointed in their waiting state).
-	skipEntry := t.resumeBlock.kind == bkCondWait && t.resumeBlock.vaddr == caddr
+	skipEntry := t.resumeBlock.Kind == bkCondWait && t.resumeBlock.VAddr == caddr
 	if skipEntry {
-		t.resumeBlock = blockInfo{}
+		t.resumeBlock = BlockState{}
 	}
 
 	if rt.phaseIs(phReplay) {
@@ -434,13 +422,13 @@ func (t *Thread) condWait(caddr, maddr uint64) error {
 				c.waiters++
 				c.mu.Unlock()
 			}
-			t.block = blockInfo{kind: bkCondWait, vaddr: caddr, maddr: maddr}
+			t.block = BlockState{Kind: bkCondWait, VAddr: caddr, MAddr: maddr}
 			if err := t.condConsume(c, ev.Pos); err != nil {
 				return err
 			}
 			t.list.Advance()
 			c.advanceTurn(rt)
-			t.block = blockInfo{}
+			t.block = BlockState{}
 			return t.lockRecorded(m)
 		}
 		// World switched to recording while our list was exhausted: execute
@@ -455,13 +443,13 @@ func (t *Thread) condWait(caddr, maddr uint64) error {
 		c.waiters++
 		c.mu.Unlock()
 	}
-	t.block = blockInfo{kind: bkCondWait, vaddr: caddr, maddr: maddr}
+	t.block = BlockState{Kind: bkCondWait, VAddr: caddr, MAddr: maddr}
 	if err := t.condConsume(c, -1); err != nil {
 		return err
 	}
 	pos := rt.appendVar(c, t.id)
 	t.appendEvent(record.Event{Kind: record.KCondWake, Var: c.addr, Pos: pos})
-	t.block = blockInfo{}
+	t.block = BlockState{}
 	return t.lockRecorded(m)
 }
 
@@ -554,9 +542,9 @@ func (t *Thread) barrierWait(addr uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	skipEntry := t.resumeBlock.kind == bkBarrier && t.resumeBlock.vaddr == addr
+	skipEntry := t.resumeBlock.Kind == bkBarrier && t.resumeBlock.VAddr == addr
 	if skipEntry {
-		t.resumeBlock = blockInfo{}
+		t.resumeBlock = BlockState{}
 	}
 
 	var recorded *record.Event
@@ -602,11 +590,11 @@ func (t *Thread) barrierWait(addr uint64) (uint64, error) {
 	}
 	s.mu.Unlock()
 	if !released {
-		t.block = blockInfo{kind: bkBarrier, vaddr: addr}
+		t.block = BlockState{Kind: bkBarrier, VAddr: addr}
 		if err := t.barrierSleep(s, myGen); err != nil {
 			return 0, err
 		}
-		t.block = blockInfo{}
+		t.block = BlockState{}
 	}
 
 	if recorded != nil {

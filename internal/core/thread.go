@@ -45,26 +45,15 @@ const (
 type startMsg struct {
 	kind  startKind
 	ctx   *interp.Context
-	block blockInfo
+	block BlockState
 }
 
-// blockKind describes a thread's position inside a blocking primitive, the
-// state that must survive rollback for threads that were already waiting at
-// epoch begin (§3.1: waiting threads are checkpointed in their waiting
-// state).
-type blockKind int
-
+// Block kinds (BlockState.Kind).
 const (
-	bkNone blockKind = iota
+	bkNone int32 = iota
 	bkCondWait
 	bkBarrier
 )
-
-type blockInfo struct {
-	kind  blockKind
-	vaddr uint64 // condition variable or barrier address
-	maddr uint64 // mutex released by a cond wait
-}
 
 // Thread is one vthread: a goroutine driving a checkpointable virtual CPU.
 type Thread struct {
@@ -77,11 +66,6 @@ type Thread struct {
 	entryFn  int
 	entryArg uint64
 	hasArg   bool
-
-	// bornEpoch is the epoch in which the thread was created; threads born
-	// after the current checkpoint revert to embryos on rollback and are
-	// re-released by their parent's replayed create event (§3.5.1).
-	bornEpoch int64
 
 	// state is stored only by setStateLocked (signal.go), which keeps
 	// Runtime.running in step with it.
@@ -115,11 +99,11 @@ type Thread struct {
 
 	// block mirrors the thread's current position inside a blocking
 	// primitive; captured at checkpoint, restored on rollback.
-	block blockInfo
+	block BlockState
 	// resumeBlock is consumed by the next blocking intrinsic after a
 	// rollback: it tells cond/barrier waits to skip their entry phase
 	// because the restored shared state already accounts for this waiter.
-	resumeBlock blockInfo
+	resumeBlock BlockState
 
 	// irrevocablePass lets the thread that closed an epoch on an irrevocable
 	// syscall execute that syscall once the next epoch has begun.
@@ -155,8 +139,8 @@ func (t *Thread) trampoline() {
 				args = []uint64{t.entryArg}
 			}
 			t.cpu.Start(t.entryFn, args)
-			t.resumeBlock = blockInfo{}
-			t.block = blockInfo{}
+			t.resumeBlock = BlockState{}
+			t.block = BlockState{}
 			t.faulted = nil
 		case smResume:
 			t.cpu.SetContext(msg.ctx)

@@ -35,6 +35,20 @@ func recordWithSink(t *testing.T, spec workloads.Spec, opts Options) ([]*record.
 	return epochs, rep, rt.Mem().HeapImage()
 }
 
+// prepareReplay flattens epochs and builds a runtime primed to replay them
+// from program start.
+func prepareReplay(mod *tir.Module, epochs []*record.EpochLog, opts Options) (*Runtime, error) {
+	f := record.NewFlattener()
+	for _, ep := range epochs {
+		f.Add(ep)
+	}
+	fl, err := f.Flat()
+	if err != nil {
+		return nil, err
+	}
+	return PrepareReplayFlatAt(mod, nil, fl, nil, opts)
+}
+
 // replayRecorded re-executes the captured epochs offline and returns the
 // replayed report and final heap image.
 func replayRecorded(t *testing.T, spec workloads.Spec, epochs []*record.EpochLog, opts Options) (*Report, []byte) {
@@ -43,7 +57,7 @@ func replayRecorded(t *testing.T, spec workloads.Spec, epochs []*record.EpochLog
 	if err != nil {
 		t.Fatalf("rebuild %s: %v", spec.Name, err)
 	}
-	rt, err := PrepareReplay(mod, epochs, opts)
+	rt, err := prepareReplay(mod, epochs, opts)
 	if err != nil {
 		t.Fatalf("prepare replay %s: %v", spec.Name, err)
 	}
@@ -134,18 +148,19 @@ func TestOfflineReplayMultiEpoch(t *testing.T) {
 	}
 }
 
-// TestPrepareReplayRejectsSparseTIDs: replay from program start pre-creates
-// every recorded thread in slot order, so epochs whose thread IDs have a gap
-// — legal in a mid-trace segment, where reclaimed threads leave holes (see
-// record.Flat) — are refused.
+// TestPrepareReplayRejectsSparseTIDs: a replay pre-creates every thread born
+// after its start checkpoint in slot order, so epochs from program start
+// whose thread IDs have a gap — legal below a mid-trace checkpoint's
+// watermark, where reclaimed threads leave holes (see record.Flat) — are
+// refused.
 func TestPrepareReplayRejectsSparseTIDs(t *testing.T) {
 	mod := buildCounter(2, 5)
 	exit := []record.Event{{Kind: record.KExit, Pos: -1}}
 	for name, threads := range map[string][]record.ThreadLog{
-		"gap":        {{TID: 0, Events: exit}, {TID: 2, Events: exit}},
+		"gap":        {{TID: 0, EntryFn: int32(mod.Entry), Events: exit}, {TID: 2, Events: exit}},
 		"high start": {{TID: 3, Events: exit}, {TID: 7, Events: exit}},
 	} {
-		_, err := PrepareReplay(mod, []*record.EpochLog{{Epoch: 1, Threads: threads}}, Options{})
+		_, err := prepareReplay(mod, []*record.EpochLog{{Epoch: 1, Threads: threads}}, Options{})
 		if err == nil || !strings.Contains(err.Error(), "non-dense thread IDs") {
 			t.Errorf("%s: want a non-dense thread ID error, got %v", name, err)
 		}
@@ -220,7 +235,7 @@ func TestOfflineReplayReproducesFault(t *testing.T) {
 			StopReason(epochs[len(epochs)-1].Reason))
 	}
 
-	rrt, err := PrepareReplay(build(), epochs, Options{MaxReplays: 10})
+	rrt, err := prepareReplay(build(), epochs, Options{MaxReplays: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -316,7 +316,15 @@ func (cfg Config) replayIdentical(p *Prog, mod *tir.Module, h *trace.Handle, rop
 	if err != nil {
 		return err
 	}
-	rt, err := core.PrepareReplay(mod, epochs, ropts)
+	f := record.NewFlattener()
+	for _, ep := range epochs {
+		f.Add(ep)
+	}
+	fl, err := f.Flat()
+	if err != nil {
+		return err
+	}
+	rt, err := core.PrepareReplayFlatAt(mod, nil, fl, nil, ropts)
 	if err != nil {
 		return err
 	}

@@ -18,8 +18,10 @@ package mem
 // runtimes running one per CPU and caps what is retained. A caller that
 // keeps more runtimes live at once (a daemon running segmented jobs side by
 // side) allocates the excess, and the excess is dropped again on release.
-// Reuse is explicit and deterministic; nothing is recycled behind a
-// caller's back.
+// A full list still makes room for a geometry with fewer spares than
+// another by evicting one of the larger holding, so the Config that filled
+// the list first cannot starve every later one. Reuse is explicit and
+// deterministic; nothing is recycled behind a caller's back.
 
 import (
 	"runtime"
@@ -45,7 +47,8 @@ type geometry struct {
 var recycler struct {
 	sync.Mutex
 	geoms  map[Config]*geometry
-	spares int // across every geometry
+	order  []*geometry // every geometry, in creation order
+	spares int         // across every geometry
 }
 
 // acquire returns zeroed storage for cfg — a spare when one is free — and
@@ -60,6 +63,7 @@ func acquire(cfg Config) (backing, *geometry) {
 		lens := [numSegs]int{int(cfg.GlobalSize), int(cfg.HeapSize), int(cfg.StackSlot * int64(cfg.MaxThreads))}
 		g = &geometry{zero: zeroSnapshot(lens)}
 		recycler.geoms[cfg] = g
+		recycler.order = append(recycler.order, g)
 	}
 	if n := len(g.spares); n > 0 {
 		b := g.spares[n-1]
@@ -78,13 +82,26 @@ func acquire(cfg Config) (backing, *geometry) {
 	return b, g
 }
 
-// recycle puts zeroed storage on g's free list, or drops it for the
-// collector when the list already holds GOMAXPROCS spares.
+// recycle puts zeroed storage on g's free list. When the list already holds
+// GOMAXPROCS spares, the geometry holding the most gives one up if it would
+// still hold more than g; otherwise b is dropped for the collector.
 func recycle(g *geometry, b backing) {
 	recycler.Lock()
 	defer recycler.Unlock()
 	if recycler.spares >= runtime.GOMAXPROCS(0) {
-		return
+		most := g
+		for _, o := range recycler.order {
+			if len(o.spares) > len(most.spares) {
+				most = o
+			}
+		}
+		n := len(most.spares)
+		if n <= len(g.spares)+1 {
+			return
+		}
+		most.spares[n-1] = backing{}
+		most.spares = most.spares[:n-1]
+		recycler.spares--
 	}
 	g.spares = append(g.spares, b)
 	recycler.spares++

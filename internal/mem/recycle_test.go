@@ -185,3 +185,35 @@ func TestFreeListBoundedByGOMAXPROCS(t *testing.T) {
 		t.Fatalf("free list holds %d spares, want GOMAXPROCS = %d", got, limit)
 	}
 }
+
+// TestFullFreeListMakesRoomForAnotherGeometry: once one Config's releases
+// fill the free list, a release of another Config still keeps its space —
+// the full geometry gives up a spare — so the next New of that Config
+// reuses it instead of allocating a second space. The list is sized to
+// four spares here: with one, there is no share to give up.
+func TestFullFreeListMakesRoomForAnotherGeometry(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	emptyFreeLists(t)
+	other := recycleCfg
+	other.HeapSize *= 2
+	spaces := make([]*Memory, 4)
+	for i := range spaces {
+		spaces[i] = New(recycleCfg)
+	}
+	for _, m := range spaces {
+		m.Release()
+	}
+	b := New(other)
+	heap0 := &b.heap[0]
+	b.Release()
+	if got := spareCount(); got != 4 {
+		t.Fatalf("free list holds %d spares, want GOMAXPROCS = 4", got)
+	}
+	if c := New(other); &c.heap[0] != heap0 {
+		t.Fatal("a release into a list full of another geometry's spares was dropped: New allocated a second space")
+	}
+	New(recycleCfg)
+	if got := spareCount(); got != 2 {
+		t.Fatalf("after one New of each Config the list holds %d spares, want the full geometry's other 2", got)
+	}
+}

@@ -5,8 +5,10 @@ package vet
 // including in the analyzers — fails this test, which is what CI runs.
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -34,6 +36,24 @@ func TestRepoIsVetClean(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Log("fix the finding or add a reviewed //ir: annotation (see docs/STATIC_ANALYSIS.md)")
+	}
+}
+
+// TestDetScopeFilesExist: detpure checks nothing, silently, for a scoped
+// package or file that is not there, so a deleted or renamed one must leave
+// DetScope with it.
+func TestDetScopeFilesExist(t *testing.T) {
+	root := repoRoot(t)
+	for pkg, files := range DetScope {
+		dir := filepath.Join(root, strings.TrimPrefix(pkg, "repro/"))
+		if _, err := os.Stat(dir); err != nil {
+			t.Errorf("DetScope names package %s: %v", pkg, err)
+		}
+		for _, f := range files {
+			if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+				t.Errorf("DetScope names %s in %s: %v", f, pkg, err)
+			}
+		}
 	}
 }
 

@@ -10,8 +10,9 @@ package vet
 // recording runtime itself (whose telemetry and stall-detection reads carry
 // reviewed //ir:wallclock annotations). A nil file list means the whole
 // package; internal/trace is scoped to the on-disk format files — the
-// host-side fetch/cache/job layers (handle, segment, batch, lifecycle,
-// store, analyze) run on service time and do telemetry freely.
+// host-side fetch, cache and job layers (handle, exec, lifecycle, store) run
+// on service time and do telemetry freely. Every listed file must exist
+// (TestDetScopeFilesExist): detpure skips a missing one without a word.
 var DetScope = map[string][]string{
 	"repro/internal/interp": nil,
 	"repro/internal/mem":    nil,
@@ -19,8 +20,7 @@ var DetScope = map[string][]string{
 	"repro/internal/record": nil,
 	"repro/internal/core":   nil,
 	"repro/internal/trace": {
-		"trace.go", "format.go", "writer.go", "reader.go",
-		"index.go", "compress.go",
+		"trace.go", "format.go", "writer.go", "index.go", "compress.go",
 	},
 }
 

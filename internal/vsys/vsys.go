@@ -460,28 +460,14 @@ func (o *OS) Fork() int64 {
 	return o.pid + 1 + o.entropy.Int63n(1000)
 }
 
-// Positions captures every open file descriptor's position — the per-epoch
-// checkpoint state for revocable IO (§3.1).
-func (o *OS) Positions() map[int64]int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make(map[int64]int64, len(o.fds))
-	for n, f := range o.fds {
-		if f.kind == FDFile {
-			out[n] = f.pos
-		}
-	}
-	return out
-}
-
 // RestorePositions re-seeks every still-open descriptor to its checkpointed
 // position (rollback, §3.4: lseek with SEEK_SET on every descriptor).
-func (o *OS) RestorePositions(pos map[int64]int64) {
+func (o *OS) RestorePositions(fds []FDState) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for n, p := range pos {
-		if f, ok := o.fds[n]; ok && f.kind == FDFile {
-			f.pos = p
+	for _, s := range fds {
+		if f, ok := o.fds[s.FD]; ok && f.kind == FDFile {
+			f.pos = s.Pos
 		}
 	}
 }
@@ -494,31 +480,35 @@ type FDState struct {
 	Pos  int64
 }
 
-// State is the virtual filesystem's checkpoint: file contents plus the open
-// file-descriptor table. It is what a mid-trace replay resume needs beyond
-// the recorded event log — revocable IO re-issues against these files at
-// these positions. Socket descriptors are excluded: socket IO is recordable
-// and replays from the log without touching the descriptor table.
+// State is the virtual filesystem's checkpoint: the open file-descriptor
+// table, and optionally the file contents. The descriptor positions are the
+// per-epoch checkpoint state for revocable IO (§3.1); with the contents it
+// is what a mid-trace replay resume needs beyond the recorded event log —
+// revocable IO re-issues against these files at these positions. Socket
+// descriptors are excluded: socket IO is recordable and replays from the log
+// without touching the descriptor table.
 type State struct {
 	Files []File
 	FDs   []FDState
 }
 
-// CheckpointState deep-copies the VFS for a persisted checkpoint. Files are
-// emitted sorted by name and descriptors ascending, so the state is
-// encode-stable. Call only while the world is quiescent.
-func (o *OS) CheckpointState() *State {
+// CheckpointState captures the descriptor table and, with files, deep-copies
+// every file's contents, as a persisted checkpoint needs. Files are emitted
+// sorted by name and descriptors ascending, so the state is encode-stable.
+// Call only while the world is quiescent.
+func (o *OS) CheckpointState(files bool) *State {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	st := &State{}
-	names := make([]string, 0, len(o.files))
-	for n := range o.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := o.files[n]
-		st.Files = append(st.Files, File{Name: n, Data: append([]byte(nil), f.Data...)})
+	if files {
+		names := make([]string, 0, len(o.files))
+		for n := range o.files {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			st.Files = append(st.Files, File{Name: n, Data: append([]byte(nil), o.files[n].Data...)})
+		}
 	}
 	fdns := make([]int64, 0, len(o.fds))
 	for n, f := range o.fds {

@@ -47,9 +47,9 @@ func TestFileReadWriteAndPositions(t *testing.T) {
 	if err != nil || string(b) != "hello" {
 		t.Fatalf("read = %q, %v", b, err)
 	}
-	pos := o.Positions()
-	if pos[fd] != 5 {
-		t.Fatalf("pos = %d", pos[fd])
+	pos := o.CheckpointState(false).FDs
+	if len(pos) != 1 || pos[0].FD != fd || pos[0].Pos != 5 {
+		t.Fatalf("positions = %+v", pos)
 	}
 	// Read to EOF.
 	b, _ = o.Read(fd, 100)
@@ -81,7 +81,7 @@ func TestWriteExtendsFile(t *testing.T) {
 	}
 	// Re-issuing the same writes after position restore is idempotent — the
 	// property revocable classification depends on.
-	o.RestorePositions(map[int64]int64{fd: 0})
+	o.RestorePositions([]FDState{{FD: fd, Path: "new"}})
 	o.Write(fd, []byte("abc"))
 	o.Write(fd, []byte("def"))
 	data, _ = o.FileData("new")
@@ -235,7 +235,7 @@ func TestQuickRevocableReplay(t *testing.T) {
 		o := newOS()
 		o.AddFile("f", content)
 		fd, _ := o.Open("f")
-		pos := o.Positions()
+		pos := o.CheckpointState(false).FDs
 		var first [][]byte
 		for _, s := range sizes {
 			b, err := o.Read(fd, int(s%32)+1)
@@ -279,7 +279,10 @@ func TestCheckpointRestoreState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := o.CheckpointState()
+	if st := o.CheckpointState(false); len(st.Files) != 0 || len(st.FDs) != 2 {
+		t.Fatalf("positions-only state = %d files, %d fds", len(st.Files), len(st.FDs))
+	}
+	st := o.CheckpointState(true)
 	if len(st.Files) != 2 || len(st.FDs) != 2 {
 		t.Fatalf("state = %d files, %d fds", len(st.Files), len(st.FDs))
 	}

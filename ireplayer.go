@@ -111,10 +111,15 @@ type VarLog = record.VarLog
 // recordings by it and offline replay refuses mismatched modules.
 var Fingerprint = tir.Fingerprint
 
-// PrepareReplay builds a runtime primed to re-execute a recorded epoch
-// sequence from program start; populate the virtual OS (input files) before
-// calling RunReplay on the result.
-var PrepareReplay = core.PrepareReplay
+// NewFlattener concatenates recorded epochs into the one replayable range
+// (a Flat) offline replay consumes: Add each epoch in order, then call Flat.
+var NewFlattener = record.NewFlattener
+
+// PrepareReplayFlatAt builds a runtime primed to re-execute a flattened epoch
+// range from a checkpoint — program start when it is nil, in which case
+// populate the virtual OS (input files) before calling RunReplay on the
+// result.
+var PrepareReplayFlatAt = core.PrepareReplayFlatAt
 
 // Checkpoint is a persisted epoch-boundary checkpoint (a trace checkpoint frame):
 // the memory snapshot, allocator metadata, vCPU contexts, shadow
