@@ -35,8 +35,13 @@ import (
 // (trace.AnalyzeBatch, trace.AnalyzeSegments) attaches them to the replay
 // runtime, drives the re-execution, then calls Finish for whole-state passes
 // (reachability scans) before collecting findings (Collect).
+//
+// Every analyzer carries its state codec (state.go). The codec is its one
+// rollback state: the runtime restores it at every rollback, in situ or
+// offline, and the segment fold carries it across segment boundaries, so
+// an analyzer keeps no rollback bookkeeping of its own.
 type Analyzer interface {
-	core.Observer
+	StateCheckpointer
 	// Name identifies the analyzer ("race", "leak", ...).
 	Name() string
 	// Finish runs after the replay completed, while the final program state

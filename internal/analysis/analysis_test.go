@@ -8,10 +8,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// runInSituWithReplays runs mod in-situ with the analyzers attached and a
-// legacy tool hook forcing one re-execution at every epoch boundary, so
-// every boundary's commit/stage/restore path is exercised.
-func runInSituWithReplays(t *testing.T, mod *tir.Module, eventCap int, analyzers ...core.Observer) int {
+// runInSitu runs mod in-situ with the analyzers attached. With
+// forceReplays, a legacy tool hook forces one re-execution at every epoch
+// boundary, so every boundary's capture/restore path is exercised; it
+// returns the number of boundaries.
+func runInSitu(t *testing.T, mod *tir.Module, eventCap int, forceReplays bool, analyzers ...core.Observer) int {
 	t.Helper()
 	replayedAt := map[int64]bool{}
 	opts := core.Options{
@@ -21,7 +22,7 @@ func runInSituWithReplays(t *testing.T, mod *tir.Module, eventCap int, analyzers
 		DelayOnDivergence: true,
 		Observers:         analyzers,
 		OnEpochEnd: func(rt *core.Runtime, info core.EpochEndInfo) core.Decision {
-			if !replayedAt[info.Epoch] {
+			if forceReplays && !replayedAt[info.Epoch] {
 				replayedAt[info.Epoch] = true
 				return core.Replay
 			}
@@ -35,7 +36,7 @@ func runInSituWithReplays(t *testing.T, mod *tir.Module, eventCap int, analyzers
 	if _, err := rt.Run(); err != nil {
 		t.Fatalf("in-situ run: %v", err)
 	}
-	if len(replayedAt) == 0 {
+	if forceReplays && len(replayedAt) == 0 {
 		t.Fatal("no in-situ replay ever happened")
 	}
 	return len(replayedAt)
@@ -43,9 +44,10 @@ func runInSituWithReplays(t *testing.T, mod *tir.Module, eventCap int, analyzers
 
 // TestInSituAnalyzersSurviveRollback: analyzers attached to an in-situ
 // runtime must survive tool-driven replays — a rollback restores the state
-// committed for the current epoch's beginning instead of wiping the whole
-// run, so allocation sites from earlier epochs stay blamed and no
-// happens-before edges are lost.
+// captured at the current epoch's beginning instead of wiping the whole
+// run, so allocation sites from earlier epochs stay blamed, no
+// happens-before edges are lost, and a leak found by a boundary scan
+// before the replay keeps the epoch that scan gave it.
 func TestInSituAnalyzersSurviveRollback(t *testing.T) {
 	// Race-free multi-epoch program: replays at every boundary must not
 	// manufacture findings.
@@ -54,7 +56,7 @@ func TestInSituAnalyzersSurviveRollback(t *testing.T) {
 		t.Fatal("unknown case norace-locked")
 	}
 	race := NewRaceDetector()
-	runInSituWithReplays(t, c.Build(), 48, race)
+	runInSitu(t, c.Build(), 48, true, race)
 	for _, f := range race.Findings() {
 		t.Errorf("false positive after in-situ rollbacks: %v", f)
 	}
@@ -106,7 +108,7 @@ func TestInSituAnalyzersSurviveRollback(t *testing.T) {
 
 	leak := NewLeakDetector()
 	prof := NewProfile()
-	boundaries := runInSituWithReplays(t, leakMod, 24, leak, prof)
+	boundaries := runInSitu(t, leakMod, 24, true, leak, prof)
 	if boundaries < 2 {
 		t.Fatalf("want a multi-epoch run, got %d boundaries", boundaries)
 	}
@@ -118,6 +120,23 @@ func TestInSituAnalyzersSurviveRollback(t *testing.T) {
 		if len(f.Sites) != 1 || f.Sites[0].Func() != "leak_loop" {
 			t.Errorf("leak lost its allocation site across a rollback: %v", f)
 		}
+	}
+	// A boundary scan runs before the replay decision and is not re-run
+	// after the matched replay, so a rollback must keep what it found: each
+	// leak's epoch is the one the same run reports with no replays at all.
+	plain := NewLeakDetector()
+	runInSitu(t, leakMod, 24, false, plain)
+	want := map[uint64]int64{}
+	for _, l := range plain.Leaks() {
+		want[l.Addr] = l.Epoch
+	}
+	for _, l := range leak.Leaks() {
+		if e, ok := want[l.Addr]; !ok || l.Epoch != e {
+			t.Errorf("leak at %#x found at epoch %d after rollbacks, %d without (present: %v)", l.Addr, l.Epoch, e, ok)
+		}
+	}
+	if len(want) != 4 {
+		t.Fatalf("want 4 leaks without replays, got %d", len(want))
 	}
 	// Profile counts must reflect the whole run, not just the epochs after
 	// the last rollback: 60 lock/unlock pairs = 120 sync events, plus the

@@ -46,16 +46,13 @@ type Leak struct {
 
 // LeakDetector is the reachability analyzer. Use NewLeakDetector.
 type LeakDetector struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// sites is the live allocation-site table; an in-situ rollback restores
+	// it through the state codec (state.go).
 	sites map[uint64]allocSite
-	// ckptSites/pendingSites implement the two-slot boundary checkpoint
-	// (see RaceDetector): an in-situ rollback restores the current epoch's
-	// *beginning*, so the sites of older allocations survive the reset
-	// while the just-staged boundary snapshot is discarded.
-	ckptSites    map[uint64]allocSite
-	pendingSites map[uint64]allocSite
-	leaks        map[uint64]Leak // deduped across scans by payload address
-	scans        int64
+	// leaks and scans are monotone: a rollback keeps them (DecodeState).
+	leaks map[uint64]Leak // deduped across scans by payload address
+	scans int64
 }
 
 type allocSite struct {
@@ -74,30 +71,6 @@ func NewLeakDetector() *LeakDetector {
 // Name implements Analyzer.
 func (d *LeakDetector) Name() string { return "leak" }
 
-func copySites(m map[uint64]allocSite) map[uint64]allocSite {
-	cp := make(map[uint64]allocSite, len(m))
-	for a, s := range m {
-		cp[a] = s
-	}
-	return cp
-}
-
-// OnReset implements core.ResetObserver: restore the committed site table
-// (the in-situ rollback target's state), or start empty when none exists
-// (offline rollback restarts from program start). Leaks already found
-// stay: an unreachable object cannot become reachable by re-executing the
-// epoch that found it.
-func (d *LeakDetector) OnReset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pendingSites = nil
-	if d.ckptSites != nil {
-		d.sites = copySites(d.ckptSites)
-		return
-	}
-	d.sites = make(map[uint64]allocSite)
-}
-
 // OnAlloc implements core.AllocObserver.
 func (d *LeakDetector) OnAlloc(tid int32, addr uint64, size int64, stack []interp.StackEntry) {
 	d.mu.Lock()
@@ -113,26 +86,15 @@ func (d *LeakDetector) OnFree(tid int32, addr uint64, stack []interp.StackEntry)
 }
 
 // OnEpochEnd implements core.EpochObserver: scan while the world is
-// quiescent, commit the previous boundary's site snapshot, and stage this
-// one. Always proceeds — leak evidence needs no re-execution, the
+// quiescent. Always proceeds — leak evidence needs no re-execution, the
 // allocation site was captured on the way in.
 func (d *LeakDetector) OnEpochEnd(rt *core.Runtime, info core.EpochEndInfo) core.Decision {
 	d.scan(rt, info.Epoch)
-	d.mu.Lock()
-	if d.pendingSites != nil {
-		d.ckptSites = d.pendingSites
-	}
-	d.pendingSites = copySites(d.sites)
-	d.mu.Unlock()
 	return core.Proceed
 }
 
-// OnReplayMatched implements core.EpochObserver: the matched replay
-// re-accumulated the boundary's site table; re-stage it.
+// OnReplayMatched implements core.EpochObserver.
 func (d *LeakDetector) OnReplayMatched(rt *core.Runtime, attempts int) core.Decision {
-	d.mu.Lock()
-	d.pendingSites = copySites(d.sites)
-	d.mu.Unlock()
 	return core.Proceed
 }
 

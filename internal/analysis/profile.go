@@ -12,7 +12,8 @@ import (
 	"repro/internal/interp"
 )
 
-// Profile counts observed operations by kind.
+// Profile counts observed operations by kind. An in-situ rollback restores
+// the counts through the state codec (state.go).
 type Profile struct {
 	Syncs    atomic.Int64
 	Creates  atomic.Int64
@@ -22,33 +23,6 @@ type Profile struct {
 	Frees    atomic.Int64
 	Syscalls atomic.Int64
 	Accesses atomic.Int64
-	Resets   atomic.Int64
-
-	// ckpt/pending implement the two-slot boundary checkpoint (see
-	// RaceDetector): an in-situ rollback restores the counts at the current
-	// epoch's beginning instead of zeroing the whole run.
-	ckpt    atomic.Pointer[profileSnap]
-	pending atomic.Pointer[profileSnap]
-}
-
-type profileSnap [8]int64
-
-func (p *Profile) snap() *profileSnap {
-	return &profileSnap{
-		p.Syncs.Load(), p.Creates.Load(), p.Exits.Load(), p.Joins.Load(),
-		p.Allocs.Load(), p.Frees.Load(), p.Syscalls.Load(), p.Accesses.Load(),
-	}
-}
-
-func (p *Profile) restore(s *profileSnap) {
-	p.Syncs.Store(s[0])
-	p.Creates.Store(s[1])
-	p.Exits.Store(s[2])
-	p.Joins.Store(s[3])
-	p.Allocs.Store(s[4])
-	p.Frees.Store(s[5])
-	p.Syscalls.Store(s[6])
-	p.Accesses.Store(s[7])
 }
 
 // NewProfile builds a profile analyzer.
@@ -84,36 +58,6 @@ func (p *Profile) OnSyscall(tid int32, num int64, ret uint64) { p.Syscalls.Add(1
 func (p *Profile) OnAccess(tid int32, addr uint64, size int, write, atomic bool,
 	stack func() []interp.StackEntry) {
 	p.Accesses.Add(1)
-}
-
-// OnReset implements core.ResetObserver: restore the committed boundary
-// snapshot (the in-situ rollback target's counts), or restart from zero
-// when none exists (offline rollback restarts from program start).
-func (p *Profile) OnReset() {
-	p.pending.Store(nil)
-	if s := p.ckpt.Load(); s != nil {
-		p.restore(s)
-	} else {
-		p.restore(&profileSnap{})
-	}
-	p.Resets.Add(1)
-}
-
-// OnEpochEnd implements core.EpochObserver: commit the previous boundary's
-// snapshot and stage this one.
-func (p *Profile) OnEpochEnd(rt *core.Runtime, info core.EpochEndInfo) core.Decision {
-	if s := p.pending.Load(); s != nil {
-		p.ckpt.Store(s)
-	}
-	p.pending.Store(p.snap())
-	return core.Proceed
-}
-
-// OnReplayMatched implements core.EpochObserver: re-stage from the matched
-// replay's re-accumulated counts.
-func (p *Profile) OnReplayMatched(rt *core.Runtime, attempts int) core.Decision {
-	p.pending.Store(p.snap())
-	return core.Proceed
 }
 
 // Finish implements Analyzer.

@@ -105,8 +105,8 @@ type Race struct {
 	CurSite   Site
 }
 
-// raceState is the detector's complete mutable state, separated out so an
-// epoch boundary can checkpoint it and a rollback can restore it.
+// raceState is the detector's complete mutable state, the unit its state
+// codec encodes and decodes.
 type raceState struct {
 	threads map[int32]*vclock
 	syncC   map[uint64]*vclock // per sync object (incl. atomic cells)
@@ -136,59 +136,15 @@ func newRaceState() *raceState {
 	}
 }
 
-func copyClock(c vclock) vclock { return append(vclock(nil), c...) }
-
-func (s *raceState) deepCopy() *raceState {
-	cp := newRaceState()
-	for t, c := range s.threads {
-		v := copyClock(*c)
-		cp.threads[t] = &v
-	}
-	for a, c := range s.syncC {
-		v := copyClock(*c)
-		cp.syncC[a] = &v
-	}
-	for a, b := range s.barriers {
-		cp.barriers[a] = &barrierClock{
-			pending: copyClock(b.pending),
-			rel:     copyClock(b.rel),
-		}
-	}
-	for t, c := range s.exits {
-		cp.exits[t] = copyClock(c)
-	}
-	for a, g := range s.shadow {
-		cp.shadow[a] = &granule{
-			write:    g.write,
-			hasWrite: g.hasWrite,
-			reads:    append([]access(nil), g.reads...),
-		}
-	}
-	for k := range s.seen {
-		cp.seen[k] = true
-	}
-	cp.races = append([]Race(nil), s.races...)
-	return cp
-}
-
 // RaceDetector is the happens-before analyzer. Zero value is not ready; use
 // NewRaceDetector.
 //
-// In-situ checkpointing: a rollback restores the world to the *current*
-// epoch's beginning, but OnEpochEnd fires before the replay decision is
-// known, so the snapshot taken at a boundary must not become the rollback
-// target of that same boundary's replay. Snapshots therefore go through a
-// two-slot commit: OnEpochEnd commits the previous boundary's snapshot
-// (nothing observable runs between a boundary and the next epoch's
-// checkpoint) and stages the new one; OnReset restores the committed slot
-// and discards the staged one; OnReplayMatched re-stages from the matched
-// state. Offline replay never sees a boundary, so OnReset restarts empty —
-// program start is the rollback target there.
+// It keeps no rollback state of its own: attached in situ, the runtime
+// restores the whole detector — clocks, shadow cells, dedup set and races —
+// through its state codec (state.go) at every rollback.
 type RaceDetector struct {
-	mu      sync.Mutex
-	st      *raceState
-	ckpt    *raceState // committed: state at the current epoch's beginning
-	pending *raceState // staged at the just-closed boundary
+	mu sync.Mutex
+	st *raceState
 }
 
 // NewRaceDetector builds a race analyzer.
@@ -198,41 +154,6 @@ func NewRaceDetector() *RaceDetector {
 
 // Name implements Analyzer.
 func (d *RaceDetector) Name() string { return "race" }
-
-// OnReset implements core.ResetObserver: restore the committed checkpoint
-// (the rollback target's analyzer state), discarding the staged snapshot
-// and everything observed since.
-func (d *RaceDetector) OnReset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pending = nil
-	if d.ckpt != nil {
-		d.st = d.ckpt.deepCopy()
-		return
-	}
-	d.st = newRaceState()
-}
-
-// OnEpochEnd implements core.EpochObserver: commit the previous boundary's
-// snapshot and stage this one.
-func (d *RaceDetector) OnEpochEnd(rt *core.Runtime, info core.EpochEndInfo) core.Decision {
-	d.mu.Lock()
-	if d.pending != nil {
-		d.ckpt = d.pending
-	}
-	d.pending = d.st.deepCopy()
-	d.mu.Unlock()
-	return core.Proceed
-}
-
-// OnReplayMatched implements core.EpochObserver: the matched replay
-// re-accumulated the boundary state; re-stage it.
-func (d *RaceDetector) OnReplayMatched(rt *core.Runtime, attempts int) core.Decision {
-	d.mu.Lock()
-	d.pending = d.st.deepCopy()
-	d.mu.Unlock()
-	return core.Proceed
-}
 
 // clock returns tid's vector clock, creating it at its first action.
 func (d *RaceDetector) clock(tid int32) *vclock {
@@ -403,13 +324,6 @@ func topPC(s Site) int {
 
 // Finish implements Analyzer (the race check needs no final pass).
 func (d *RaceDetector) Finish(rt *core.Runtime) error { return nil }
-
-// Races returns the reported racing pairs.
-func (d *RaceDetector) Races() []Race {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Race(nil), d.st.races...)
-}
 
 // canonKey orders the two sides of a race independently of which was
 // observed first during replay.

@@ -1,7 +1,9 @@
 package analysis
 
-// Checkpointable analyzer state: the append/decode codecs that let an
-// analyzer's accumulated state cross a segment boundary as bytes.
+// Checkpointable analyzer state: the append/decode codecs that are an
+// analyzer's one serialized state. They carry it across a segment boundary
+// as bytes, and they are what an in-situ rollback restores (core captures
+// every core.StateObserver at each rollback target and decodes it back).
 //
 // Segment-parallel analysis folds segments sequentially into one analyzer
 // chain (see tape.go); at every boundary the fold serializes the chain's
@@ -19,29 +21,22 @@ package analysis
 //   - LeakDetector: the allocation-site table (heap contents ride the
 //     runtime checkpoint, not the analyzer), leaks found, and scan count.
 //   - Profile: its counters.
-//
-// The in-situ two-slot boundary snapshots (ckpt/pending) are rollback
-// machinery, not analysis state, and never fire offline — they are
-// deliberately outside the codec.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/interp"
 )
 
-// StateCheckpointer is the optional Analyzer extension for segment-parallel
-// analysis: AppendState serializes the analyzer's complete accumulated
-// state, DecodeState replaces the receiver's state with a decoded one and
-// returns the unconsumed remainder. An analyzer set in which every member
-// implements it can be handed across a segment boundary (or a wire) and
+// StateCheckpointer is the analyzer state codec every Analyzer carries:
+// AppendState serializes the analyzer's complete accumulated state,
+// DecodeState restores a decoded one and returns the unconsumed remainder.
+// An analyzer set can be handed across a segment boundary (or a wire) and
 // resumed by a fresh set from the same factory.
-type StateCheckpointer interface {
-	AppendState(b []byte) []byte
-	DecodeState(b []byte) ([]byte, error)
-}
+type StateCheckpointer = core.StateObserver
 
 // --- codec primitives ---
 
@@ -51,10 +46,6 @@ type StateCheckpointer interface {
 type stateWriter struct {
 	b    []byte
 	strs map[string]uint64
-}
-
-func newStateWriter(b []byte) *stateWriter {
-	return &stateWriter{b: b, strs: make(map[string]uint64)}
 }
 
 func (w *stateWriter) u(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
@@ -74,6 +65,9 @@ func (w *stateWriter) str(s string) {
 	if ref, ok := w.strs[s]; ok {
 		w.u(ref)
 		return
+	}
+	if w.strs == nil {
+		w.strs = make(map[string]uint64)
 	}
 	w.strs[s] = uint64(len(w.strs)) + 1
 	w.u(0)
@@ -171,7 +165,7 @@ func sortedTIDs[V any](m map[int32]V) []int32 {
 	for t := range m {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -180,7 +174,7 @@ func sortedAddrs[V any](m map[uint64]V) []uint64 {
 	for a := range m {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -231,7 +225,7 @@ func (r *stateReader) access() access {
 func (d *RaceDetector) AppendState(b []byte) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	w := newStateWriter(b)
+	w := &stateWriter{b: b}
 	s := d.st
 
 	w.u(uint64(len(s.threads)))
@@ -278,7 +272,7 @@ func (d *RaceDetector) AppendState(b []byte) []byte {
 	for k := range s.seen {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	w.u(uint64(len(keys)))
 	for _, k := range keys {
 		w.str(k)
@@ -294,8 +288,7 @@ func (d *RaceDetector) AppendState(b []byte) []byte {
 }
 
 // DecodeState implements StateCheckpointer. The decoded state replaces the
-// receiver's wholesale; the in-situ two-slot snapshots are cleared, as a
-// decoded state is a fresh segment start, not a rollback target.
+// receiver's wholesale, races and dedup set included.
 func (d *RaceDetector) DecodeState(b []byte) ([]byte, error) {
 	r := &stateReader{b: b}
 	s := newRaceState()
@@ -348,7 +341,7 @@ func (d *RaceDetector) DecodeState(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("race state: %w", r.err)
 	}
 	d.mu.Lock()
-	d.st, d.ckpt, d.pending = s, nil, nil
+	d.st = s
 	d.mu.Unlock()
 	return r.b, nil
 }
@@ -361,7 +354,7 @@ func (d *RaceDetector) DecodeState(b []byte) ([]byte, error) {
 func (d *LeakDetector) AppendState(b []byte) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	w := newStateWriter(b)
+	w := &stateWriter{b: b}
 	w.u(uint64(len(d.sites)))
 	prev := uint64(0)
 	for _, a := range sortedAddrs(d.sites) {
@@ -386,7 +379,13 @@ func (d *LeakDetector) AppendState(b []byte) []byte {
 	return w.b
 }
 
-// DecodeState implements StateCheckpointer.
+// DecodeState implements StateCheckpointer. The site table is replaced;
+// leaks and the scan count are merged, keeping what the receiver already
+// holds. They are monotone facts: an unreachable object cannot become
+// reachable by re-executing the epoch that found it, and a boundary scan
+// is not re-run after a matched replay, so an in-situ rollback must not
+// forget what it found. Into a fresh receiver (the segment fold) this is a
+// replace.
 func (d *LeakDetector) DecodeState(b []byte) ([]byte, error) {
 	r := &stateReader{b: b}
 	sites := make(map[uint64]allocSite)
@@ -395,25 +394,30 @@ func (d *LeakDetector) DecodeState(b []byte) ([]byte, error) {
 		prev += r.u()
 		sites[prev] = allocSite{tid: int32(r.u()), stack: r.stack()}
 	}
-	leaks := make(map[uint64]Leak)
+	var leaks []Leak
 	prev = 0
 	for i, n := 0, r.count("leak"); i < n && r.err == nil; i++ {
 		prev += r.u()
-		leaks[prev] = Leak{
+		leaks = append(leaks, Leak{
 			Addr:  prev,
 			Size:  r.z(),
 			TID:   int32(r.u()),
 			Epoch: r.z(),
 			Stack: r.stack(),
-		}
+		})
 	}
 	scans := r.z()
 	if r.err != nil {
 		return nil, fmt.Errorf("leak state: %w", r.err)
 	}
 	d.mu.Lock()
-	d.sites, d.leaks, d.scans = sites, leaks, scans
-	d.ckptSites, d.pendingSites = nil, nil
+	d.sites = sites
+	for _, l := range leaks {
+		if _, ok := d.leaks[l.Addr]; !ok {
+			d.leaks[l.Addr] = l
+		}
+	}
+	d.scans = max(d.scans, scans)
 	d.mu.Unlock()
 	return r.b, nil
 }
@@ -422,7 +426,7 @@ func (d *LeakDetector) DecodeState(b []byte) ([]byte, error) {
 
 // AppendState implements StateCheckpointer.
 func (p *Profile) AppendState(b []byte) []byte {
-	w := newStateWriter(b)
+	w := &stateWriter{b: b}
 	w.z(p.Syncs.Load())
 	w.z(p.Creates.Load())
 	w.z(p.Exits.Load())
@@ -431,14 +435,13 @@ func (p *Profile) AppendState(b []byte) []byte {
 	w.z(p.Frees.Load())
 	w.z(p.Syscalls.Load())
 	w.z(p.Accesses.Load())
-	w.z(p.Resets.Load())
 	return w.b
 }
 
 // DecodeState implements StateCheckpointer.
 func (p *Profile) DecodeState(b []byte) ([]byte, error) {
 	r := &stateReader{b: b}
-	vals := make([]int64, 9)
+	var vals [8]int64
 	for i := range vals {
 		vals[i] = r.z()
 	}
@@ -453,8 +456,5 @@ func (p *Profile) DecodeState(b []byte) ([]byte, error) {
 	p.Frees.Store(vals[5])
 	p.Syscalls.Store(vals[6])
 	p.Accesses.Store(vals[7])
-	p.Resets.Store(vals[8])
-	p.ckpt.Store(nil)
-	p.pending.Store(nil)
 	return r.b, nil
 }

@@ -498,6 +498,7 @@ func (rt *Runtime) beginEpoch() error {
 	// checkpoint sink and the flight recorder.
 	due := rt.checkpointDue()
 	rt.ckpt = rt.takeCheckpoint(due)
+	rt.captureObserverState()
 	if due {
 		if rt.opts.CheckpointSink != nil {
 			if err := rt.opts.CheckpointSink(rt.ckpt); err != nil {
@@ -589,8 +590,11 @@ func (rt *Runtime) rollbackAndReplay() error {
 	}
 
 	// The abandoned attempt's observations are about to be re-executed;
-	// stateful observers discard them while every thread is still parked.
-	rt.notifyReset()
+	// observers return to the rollback target while every thread is still
+	// parked.
+	if err := rt.resetObservers(); err != nil {
+		return err
+	}
 
 	// 3. Resume the threads that were live at the checkpoint. Each is marked
 	// running before it is handed its message: a thread with an unprocessed

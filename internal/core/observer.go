@@ -21,18 +21,24 @@ package core
 // unrelated variables is implied.
 //
 // Rollback (an in-situ replay decision, or an offline divergence retry)
-// re-executes observed operations. ResetObserver.OnReset is dispatched after
-// state restoration and before threads resume, so stateful observers can
-// discard observations from the abandoned attempt; for an offline replay the
-// rollback target is program start, so a full reset is always correct.
+// re-executes observed operations. The rollback target is the current
+// epoch's beginning in situ and the replayed range's start checkpoint
+// offline (program start for a whole-trace replay, the segment's start for
+// a segment replay). A StateObserver needs no rollback logic of its own: the
+// runtime encodes it whenever it fixes a rollback target and decodes it back
+// at every rollback. ResetObserver.OnReset is dispatched after state
+// restoration and before threads resume, for observers that only discard
+// the abandoned attempt's observations.
 
 import (
+	"fmt"
+
 	"repro/internal/interp"
 )
 
 // Observer is the marker for anything attachable via Options.Observers or
 // AttachObserver; the runtime discovers capabilities by interface assertion
-// against the Sync/Thread/Alloc/Access/Syscall/Epoch/Reset observer
+// against the Sync/Thread/Alloc/Access/Syscall/Epoch/Reset/State observer
 // interfaces below.
 type Observer interface{}
 
@@ -125,10 +131,26 @@ type EpochObserver interface {
 }
 
 // ResetObserver is notified when a rollback discards execution: everything
-// observed since the last checkpoint (for offline replay: since program
-// start) is about to be re-executed.
+// observed since the rollback target (the current epoch's beginning in
+// situ, the replayed range's start checkpoint offline) is about to be
+// re-executed.
 type ResetObserver interface {
 	OnReset()
+}
+
+// StateObserver is an observer whose accumulated state rolls back with the
+// runtime. AppendState serializes the complete state; DecodeState restores
+// a serialized state into the receiver and returns the unconsumed
+// remainder, without retaining b. The runtime concatenates its state
+// observers' encodings, in attach order, wherever it fixes a rollback
+// target — program start, each epoch's beginning, an offline range's first
+// attempt — and decodes them back at every rollback, while every thread is
+// parked and before OnReset. A re-executed epoch is thereby observed as if
+// it never ran. The same codec carries an analyzer across a segment
+// boundary (trace.AnalyzeSegments).
+type StateObserver interface {
+	AppendState(b []byte) []byte
+	DecodeState(b []byte) ([]byte, error)
 }
 
 // observerSet caches observers by capability so dispatch sites pay a single
@@ -141,29 +163,24 @@ type observerSet struct {
 	syscall []SyscallObserver
 	epoch   []EpochObserver
 	reset   []ResetObserver
+	state   []StateObserver
 }
 
 func (s *observerSet) add(o Observer) {
-	if x, ok := o.(SyncObserver); ok {
-		s.sync = append(s.sync, x)
-	}
-	if x, ok := o.(ThreadObserver); ok {
-		s.thread = append(s.thread, x)
-	}
-	if x, ok := o.(AllocObserver); ok {
-		s.alloc = append(s.alloc, x)
-	}
-	if x, ok := o.(AccessObserver); ok {
-		s.access = append(s.access, x)
-	}
-	if x, ok := o.(SyscallObserver); ok {
-		s.syscall = append(s.syscall, x)
-	}
-	if x, ok := o.(EpochObserver); ok {
-		s.epoch = append(s.epoch, x)
-	}
-	if x, ok := o.(ResetObserver); ok {
-		s.reset = append(s.reset, x)
+	addIf(&s.sync, o)
+	addIf(&s.thread, o)
+	addIf(&s.alloc, o)
+	addIf(&s.access, o)
+	addIf(&s.syscall, o)
+	addIf(&s.epoch, o)
+	addIf(&s.reset, o)
+	addIf(&s.state, o)
+}
+
+// addIf appends o to dst when it has capability T.
+func addIf[T any](dst *[]T, o Observer) {
+	if x, ok := o.(T); ok {
+		*dst = append(*dst, x)
 	}
 }
 
@@ -250,10 +267,34 @@ func (rt *Runtime) notifySyscall(tid int32, num int64, ret uint64) {
 	}
 }
 
-func (rt *Runtime) notifyReset() {
+// captureObserverState encodes the state observers at the rollback target
+// just fixed. The world is quiescent and the previous encoding is dead, so
+// its buffer is reused.
+func (rt *Runtime) captureObserverState() {
+	rt.obsState = rt.obsState[:0]
+	for _, o := range rt.obs.state {
+		rt.obsState = o.AppendState(rt.obsState)
+	}
+}
+
+// resetObservers returns the observers to the rollback target: the state
+// observers decode the target's encoding, then the reset observers discard
+// the abandoned attempt.
+func (rt *Runtime) resetObservers() error {
+	rest := rt.obsState
+	var err error
+	for _, o := range rt.obs.state {
+		if rest, err = o.DecodeState(rest); err != nil {
+			return fmt.Errorf("core: observer state at rollback: %w", err)
+		}
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("core: %d trailing bytes in observer state at rollback", len(rest))
+	}
 	for _, o := range rt.obs.reset {
 		o.OnReset()
 	}
+	return nil
 }
 
 // ThreadRoots describes one live thread's conservative GC roots: the live

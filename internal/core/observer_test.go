@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 
@@ -225,5 +228,156 @@ func TestObserverStreamOfflineReplay(t *testing.T) {
 			t.Errorf("replay delivered %d/%d alloc/free, recording %d/%d",
 				obs.allocs, obs.frees, recObs.allocs, recObs.frees)
 		}
+	}
+}
+
+// stateLog is a StateObserver whose state is the number of sync operations
+// it has observed. It logs every encoding it produces and every input it is
+// handed back, in order.
+type stateLog struct {
+	mu    sync.Mutex
+	syncs uint64
+	log   []stateLogEntry
+}
+
+type stateLogEntry struct {
+	decode bool
+	b      []byte
+}
+
+func (o *stateLog) OnSync(tid int32, op SyncOp, addr uint64) {
+	o.mu.Lock()
+	o.syncs++
+	o.mu.Unlock()
+}
+
+func (o *stateLog) AppendState(b []byte) []byte {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n := len(b)
+	b = binary.AppendUvarint(b, o.syncs)
+	o.log = append(o.log, stateLogEntry{b: bytes.Clone(b[n:])})
+	return b
+}
+
+func (o *stateLog) DecodeState(b []byte) ([]byte, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, errors.New("truncated state")
+	}
+	o.log = append(o.log, stateLogEntry{decode: true, b: bytes.Clone(b[:n])})
+	o.syncs = v
+	return b[n:], nil
+}
+
+// checkDecodesMatchCaptures asserts every DecodeState input is exactly the
+// encoding the observer produced at the latest capture, and returns the
+// number of decodes.
+func checkDecodesMatchCaptures(t *testing.T, o *stateLog) int {
+	t.Helper()
+	var last []byte
+	decodes := 0
+	for i, e := range o.log {
+		switch {
+		case !e.decode:
+			last = e.b
+		case last == nil:
+			t.Fatalf("log entry %d: decode of %x before any capture", i, e.b)
+		case !bytes.Equal(e.b, last):
+			t.Fatalf("log entry %d: decoded %x, the rollback target's capture was %x", i, e.b, last)
+		default:
+			decodes++
+		}
+	}
+	return decodes
+}
+
+// TestStateObserverRestoredAtInSituRollback: with a forced replay at every
+// epoch boundary, a state observer is handed back exactly the bytes it
+// produced at that epoch's beginning, and ends the run with the count a
+// run without replays reaches.
+func TestStateObserverRestoredAtInSituRollback(t *testing.T) {
+	mod := buildCounter(3, 40)
+	plain := &stateLog{}
+	rt, err := New(mod, Options{Seed: 5, EventCap: 32, Observers: []Observer{plain}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	o := &stateLog{}
+	replayed := map[int64]bool{}
+	rt, err = New(mod, Options{
+		Seed: 5, EventCap: 32, MaxReplays: 64, DelayOnDivergence: true,
+		Observers: []Observer{o},
+		OnEpochEnd: func(rt *Runtime, info EpochEndInfo) Decision {
+			if !replayed[info.Epoch] {
+				replayed[info.Epoch] = true
+				return Replay
+			}
+			return Proceed
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) < 3 {
+		t.Fatalf("want several epoch boundaries, got %d", len(replayed))
+	}
+	if got := checkDecodesMatchCaptures(t, o); int64(got) != rep.Stats.Replays {
+		t.Fatalf("%d decodes for %d rollbacks", got, rep.Stats.Replays)
+	}
+	if o.syncs != plain.syncs {
+		t.Fatalf("observer counted %d syncs across rollbacks, %d without", o.syncs, plain.syncs)
+	}
+}
+
+// TestStateObserverRestoredAtOfflineRollback: an observer attached with
+// AttachObserver after PrepareReplayFlatAt is handed back, at the first
+// attempt's rollback, the bytes it produced just before — its own state,
+// not a program-start blank.
+func TestStateObserverRestoredAtOfflineRollback(t *testing.T) {
+	mod := buildCounter(3, 20)
+	var epochs []*record.EpochLog
+	rec := &stateLog{}
+	rt, err := New(mod, Options{
+		Seed:      3,
+		Observers: []Observer{rec},
+		TraceSink: func(ep *record.EpochLog) error { epochs = append(epochs, ep); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	rrt, err := prepareReplay(mod, epochs, Options{DelayOnDivergence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const carried = 1000 // state the observer brings into the replay
+	o := &stateLog{syncs: carried}
+	rrt.AttachObserver(o)
+	if _, err := rrt.RunReplay(); err != nil {
+		t.Fatal(err)
+	}
+	if len(o.log) < 2 || o.log[0].decode || !o.log[1].decode {
+		t.Fatalf("want a capture then the first attempt's decode, got %+v", o.log)
+	}
+	if want := binary.AppendUvarint(nil, carried); !bytes.Equal(o.log[0].b, want) {
+		t.Fatalf("captured %x, want the carried state %x", o.log[0].b, want)
+	}
+	checkDecodesMatchCaptures(t, o)
+	if o.syncs != carried+rec.syncs {
+		t.Fatalf("observer ended at %d, want %d carried + %d replayed", o.syncs, carried, rec.syncs)
 	}
 }

@@ -215,6 +215,8 @@ func (rt *Runtime) RunReplay() (*Report, error) {
 		rt.shutdown()
 		return nil, err
 	}
+	// Observers attached after PrepareReplayFlatAt are in by now.
+	rt.captureObserverState()
 	if err := rt.rollbackAndReplay(); err != nil {
 		return fail(err)
 	}

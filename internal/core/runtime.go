@@ -209,6 +209,10 @@ type Runtime struct {
 	// with in situ, the replayed range's start offline. Immutable once
 	// installed.
 	ckpt *Checkpoint
+	// obsState is the state observers' encoding at ckpt. It lives here, not
+	// in the Checkpoint, because concurrent segment replays share a
+	// persisted checkpoint read-only.
+	obsState []byte
 	// epochStart anchors the current epoch's wall time; qStart/qEnd are the
 	// most recent quiescence wait. All three are monitor-goroutine state
 	// (initialized before the monitor starts).
@@ -413,6 +417,7 @@ func (rt *Runtime) Run() (*Report, error) {
 	rt.stats.Epochs = 1
 	rt.epochStart = time.Now() //ir:wallclock epoch timeline telemetry
 	rt.ckpt = rt.takeCheckpoint(false)
+	rt.captureObserverState()
 	rt.setPhase(phRecord)
 	go rt.monitor()
 	go main.trampoline()

@@ -742,22 +742,12 @@ func execute(j *Job, plans []segPlan, workers int, factory func() []analysis.Ana
 }
 
 // foldAnalyzerState round-trips the analyzer chain's accumulated state
-// through the StateCheckpointer codecs into a fresh factory-built set — the
-// interior-boundary handoff of a propagated state chain. A chain with any
-// analyzer lacking the interface is carried across by instance instead
-// (composable fallback; the fold is sequential either way).
+// through the analyzers' state codecs into a fresh factory-built set — the
+// interior-boundary handoff of a propagated state chain.
 func foldAnalyzerState(chain []analysis.Analyzer, factory func() []analysis.Analyzer) ([]analysis.Analyzer, error) {
-	ckpts := make([]analysis.StateCheckpointer, len(chain))
-	for i, a := range chain {
-		c, ok := a.(analysis.StateCheckpointer)
-		if !ok {
-			return chain, nil
-		}
-		ckpts[i] = c
-	}
 	var buf []byte
-	for _, c := range ckpts {
-		buf = c.AppendState(buf)
+	for _, a := range chain {
+		buf = a.AppendState(buf)
 	}
 	fresh := factory()
 	if len(fresh) != len(chain) {
@@ -770,12 +760,8 @@ func foldAnalyzerState(chain []analysis.Analyzer, factory func() []analysis.Anal
 			return nil, fmt.Errorf("trace: analyzer factory order changed (%q where state chain has %q)",
 				a.Name(), chain[i].Name())
 		}
-		c, ok := a.(analysis.StateCheckpointer)
-		if !ok {
-			return nil, fmt.Errorf("trace: fresh %q analyzer lost its state codec", a.Name())
-		}
 		var err error
-		if rest, err = c.DecodeState(rest); err != nil {
+		if rest, err = a.DecodeState(rest); err != nil {
 			return nil, fmt.Errorf("trace: analyzer state chain: %w", err)
 		}
 	}

@@ -552,18 +552,6 @@ func (o *OS) RestoreState(st *State) error {
 	return nil
 }
 
-// OpenFDs lists open descriptors in ascending order (diagnostics, tests).
-func (o *OS) OpenFDs() []int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]int64, 0, len(o.fds))
-	for n := range o.fds {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SyscallName returns a mnemonic for diagnostics.
 func SyscallName(num int64) string {
 	switch num {
