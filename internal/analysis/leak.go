@@ -50,9 +50,9 @@ type LeakDetector struct {
 	// sites is the live allocation-site table; an in-situ rollback restores
 	// it through the state codec (state.go).
 	sites map[uint64]allocSite
-	// leaks and scans are monotone: a rollback keeps them (DecodeState).
-	leaks map[uint64]Leak // deduped across scans by payload address
-	scans int64
+	// leaks is monotone: a rollback keeps it (DecodeState). Deduped across
+	// scans by payload address.
+	leaks map[uint64]Leak
 }
 
 type allocSite struct {
@@ -113,7 +113,6 @@ func (d *LeakDetector) scan(rt *core.Runtime, epoch int64) error {
 	reach := markReachable(rt, objs)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.scans++
 	for i, o := range objs {
 		if reach[i] {
 			continue

@@ -6,9 +6,9 @@ package analysis
 // synchronization object (mutexes, condition variables, barriers, and —
 // because they are ad hoc synchronization — atomically accessed cells), and
 // a shadow cell per 8-byte granule of heap/global memory holding the last
-// write and the reads since it. Two accesses to the same granule race when
-// at least one writes and neither happens-before the other under the edges
-// the replay delivers:
+// write and each thread's last read. Two accesses to the same granule race
+// when at least one writes and neither happens-before the other under the
+// edges the replay delivers:
 //
 //   - thread create: parent → child's first action (ThreadObserver)
 //   - thread exit → join (ThreadObserver)
@@ -93,7 +93,12 @@ func (a access) site() Site {
 type granule struct {
 	write    access
 	hasWrite bool
-	reads    []access // one per reading thread since the last write
+	// reads holds one access per reading thread, its latest. A write does
+	// not clear them: a thread's read followed by its own write would
+	// otherwise hide the read from a concurrent writer whose access the
+	// replay delivered after both, so whether the read/write pair is
+	// reported would depend on the interleaving.
+	reads []access
 }
 
 // Race is one reported racing pair; Prev was observed first during replay.
@@ -286,7 +291,6 @@ func (d *RaceDetector) checkGranule(ga uint64, cur access, c vclock) {
 			}
 		}
 		g.write, g.hasWrite = cur, true
-		g.reads = g.reads[:0]
 		return
 	}
 	for i := range g.reads {

@@ -19,7 +19,7 @@ package analysis
 //     exits), the 8-byte-granule shadow cells with their retained access
 //     stacks, the dedup set, and the races found so far.
 //   - LeakDetector: the allocation-site table (heap contents ride the
-//     runtime checkpoint, not the analyzer), leaks found, and scan count.
+//     runtime checkpoint, not the analyzer) and the leaks found.
 //   - Profile: its counters.
 
 import (
@@ -348,9 +348,8 @@ func (d *RaceDetector) DecodeState(b []byte) ([]byte, error) {
 
 // --- leak detector ---
 
-// AppendState implements StateCheckpointer. Only the site table, found
-// leaks, and scan count are analyzer state; heap contents ride the runtime
-// checkpoint.
+// AppendState implements StateCheckpointer. Only the site table and found
+// leaks are analyzer state; heap contents ride the runtime checkpoint.
 func (d *LeakDetector) AppendState(b []byte) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -375,17 +374,15 @@ func (d *LeakDetector) AppendState(b []byte) []byte {
 		w.z(l.Epoch)
 		w.stack(l.Stack)
 	}
-	w.z(d.scans)
 	return w.b
 }
 
 // DecodeState implements StateCheckpointer. The site table is replaced;
-// leaks and the scan count are merged, keeping what the receiver already
-// holds. They are monotone facts: an unreachable object cannot become
-// reachable by re-executing the epoch that found it, and a boundary scan
-// is not re-run after a matched replay, so an in-situ rollback must not
-// forget what it found. Into a fresh receiver (the segment fold) this is a
-// replace.
+// leaks are merged, keeping what the receiver already holds. They are
+// monotone facts: an unreachable object cannot become reachable by
+// re-executing the epoch that found it, and a boundary scan is not re-run
+// after a matched replay, so an in-situ rollback must not forget what it
+// found. Into a fresh receiver (the segment fold) this is a replace.
 func (d *LeakDetector) DecodeState(b []byte) ([]byte, error) {
 	r := &stateReader{b: b}
 	sites := make(map[uint64]allocSite)
@@ -406,7 +403,6 @@ func (d *LeakDetector) DecodeState(b []byte) ([]byte, error) {
 			Stack: r.stack(),
 		})
 	}
-	scans := r.z()
 	if r.err != nil {
 		return nil, fmt.Errorf("leak state: %w", r.err)
 	}
@@ -417,7 +413,6 @@ func (d *LeakDetector) DecodeState(b []byte) ([]byte, error) {
 			d.leaks[l.Addr] = l
 		}
 	}
-	d.scans = max(d.scans, scans)
 	d.mu.Unlock()
 	return r.b, nil
 }

@@ -591,8 +591,9 @@ func (rt *Runtime) rollbackAndReplay() error {
 
 	// The abandoned attempt's observations are about to be re-executed;
 	// observers return to the rollback target while every thread is still
-	// parked.
-	if err := rt.resetObservers(); err != nil {
+	// parked. An offline range's first attempt abandons nothing: RunReplay
+	// captured the observers just before it.
+	if err := rt.resetObservers(!rt.offline || rt.attempt.Load() > 1); err != nil {
 		return err
 	}
 

@@ -139,15 +139,21 @@ type ResetObserver interface {
 }
 
 // StateObserver is an observer whose accumulated state rolls back with the
-// runtime. AppendState serializes the complete state; DecodeState restores
-// a serialized state into the receiver and returns the unconsumed
-// remainder, without retaining b. The runtime concatenates its state
-// observers' encodings, in attach order, wherever it fixes a rollback
-// target — program start, each epoch's beginning, an offline range's first
-// attempt — and decodes them back at every rollback, while every thread is
-// parked and before OnReset. A re-executed epoch is thereby observed as if
-// it never ran. The same codec carries an analyzer across a segment
-// boundary (trace.AnalyzeSegments).
+// runtime. AppendState serializes the complete state; DecodeState returns
+// the receiver to a serialized state and returns the unconsumed remainder,
+// without retaining b. The runtime concatenates its state observers'
+// encodings, in attach order, wherever it fixes a rollback target — program
+// start, each epoch's beginning, an offline range's first attempt — and
+// decodes them back at every rollback that follows execution, while every
+// thread is parked and before OnReset. (An offline range's first attempt
+// has run nothing since its capture, so it decodes nothing.) A re-executed
+// epoch is thereby observed as if it never ran, with one allowance:
+// DecodeState may keep monotone facts the receiver has already
+// established, ones that re-execution would establish again but that no
+// later hook would report. LeakDetector.DecodeState (internal/analysis) is
+// the example: it keeps the leaks it holds, because the boundary scan that
+// found them is not re-run after a matched replay. The same codec carries
+// an analyzer across a segment boundary (trace.AnalyzeSegments).
 type StateObserver interface {
 	AppendState(b []byte) []byte
 	DecodeState(b []byte) ([]byte, error)
@@ -167,20 +173,29 @@ type observerSet struct {
 }
 
 func (s *observerSet) add(o Observer) {
-	addIf(&s.sync, o)
-	addIf(&s.thread, o)
-	addIf(&s.alloc, o)
-	addIf(&s.access, o)
-	addIf(&s.syscall, o)
-	addIf(&s.epoch, o)
-	addIf(&s.reset, o)
-	addIf(&s.state, o)
-}
-
-// addIf appends o to dst when it has capability T.
-func addIf[T any](dst *[]T, o Observer) {
-	if x, ok := o.(T); ok {
-		*dst = append(*dst, x)
+	if x, ok := o.(SyncObserver); ok {
+		s.sync = append(s.sync, x)
+	}
+	if x, ok := o.(ThreadObserver); ok {
+		s.thread = append(s.thread, x)
+	}
+	if x, ok := o.(AllocObserver); ok {
+		s.alloc = append(s.alloc, x)
+	}
+	if x, ok := o.(AccessObserver); ok {
+		s.access = append(s.access, x)
+	}
+	if x, ok := o.(SyscallObserver); ok {
+		s.syscall = append(s.syscall, x)
+	}
+	if x, ok := o.(EpochObserver); ok {
+		s.epoch = append(s.epoch, x)
+	}
+	if x, ok := o.(ResetObserver); ok {
+		s.reset = append(s.reset, x)
+	}
+	if x, ok := o.(StateObserver); ok {
+		s.state = append(s.state, x)
 	}
 }
 
@@ -278,18 +293,20 @@ func (rt *Runtime) captureObserverState() {
 }
 
 // resetObservers returns the observers to the rollback target: the state
-// observers decode the target's encoding, then the reset observers discard
-// the abandoned attempt.
-func (rt *Runtime) resetObservers() error {
-	rest := rt.obsState
-	var err error
-	for _, o := range rt.obs.state {
-		if rest, err = o.DecodeState(rest); err != nil {
-			return fmt.Errorf("core: observer state at rollback: %w", err)
+// observers decode the target's encoding unless nothing has run since it
+// was captured, then the reset observers discard the abandoned attempt.
+func (rt *Runtime) resetObservers(decode bool) error {
+	if decode {
+		rest := rt.obsState
+		var err error
+		for _, o := range rt.obs.state {
+			if rest, err = o.DecodeState(rest); err != nil {
+				return fmt.Errorf("core: observer state at rollback: %w", err)
+			}
 		}
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("core: %d trailing bytes in observer state at rollback", len(rest))
+		if len(rest) != 0 {
+			return fmt.Errorf("core: %d trailing bytes in observer state at rollback", len(rest))
+		}
 	}
 	for _, o := range rt.obs.reset {
 		o.OnReset()

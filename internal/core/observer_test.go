@@ -341,9 +341,10 @@ func TestStateObserverRestoredAtInSituRollback(t *testing.T) {
 }
 
 // TestStateObserverRestoredAtOfflineRollback: an observer attached with
-// AttachObserver after PrepareReplayFlatAt is handed back, at the first
-// attempt's rollback, the bytes it produced just before — its own state,
-// not a program-start blank.
+// AttachObserver after PrepareReplayFlatAt is captured just before the
+// first attempt, with the state it carries in. The first attempt decodes
+// nothing, since nothing has run since; every divergence retry is handed
+// back exactly that capture — its own state, not a program-start blank.
 func TestStateObserverRestoredAtOfflineRollback(t *testing.T) {
 	mod := buildCounter(3, 20)
 	var epochs []*record.EpochLog
@@ -359,25 +360,54 @@ func TestStateObserverRestoredAtOfflineRollback(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
+	const carried = 1000 // state the observer brings into the replay
+	want := binary.AppendUvarint(nil, carried)
+	replay := func(epochs []*record.EpochLog, maxReplays int) (*stateLog, *Runtime, error) {
+		rrt, err := prepareReplay(mod, epochs, Options{MaxReplays: maxReplays, DelayOnDivergence: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &stateLog{syncs: carried}
+		rrt.AttachObserver(o)
+		_, err = rrt.RunReplay()
+		if len(o.log) == 0 || o.log[0].decode || !bytes.Equal(o.log[0].b, want) {
+			t.Fatalf("first log entry %+v, want a capture of the carried state %x", o.log, want)
+		}
+		if got, att := checkDecodesMatchCaptures(t, o), rrt.StatsSnapshot().Replays; int64(got) != att-1 {
+			t.Fatalf("%d decodes for %d attempts, want one per retry", got, att)
+		}
+		return o, rrt, err
+	}
 
-	rrt, err := prepareReplay(mod, epochs, Options{DelayOnDivergence: true})
+	o, _, err := replay(epochs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const carried = 1000 // state the observer brings into the replay
-	o := &stateLog{syncs: carried}
-	rrt.AttachObserver(o)
-	if _, err := rrt.RunReplay(); err != nil {
-		t.Fatal(err)
-	}
-	if len(o.log) < 2 || o.log[0].decode || !o.log[1].decode {
-		t.Fatalf("want a capture then the first attempt's decode, got %+v", o.log)
-	}
-	if want := binary.AppendUvarint(nil, carried); !bytes.Equal(o.log[0].b, want) {
-		t.Fatalf("captured %x, want the carried state %x", o.log[0].b, want)
-	}
-	checkDecodesMatchCaptures(t, o)
 	if o.syncs != carried+rec.syncs {
 		t.Fatalf("observer ended at %d, want %d carried + %d replayed", o.syncs, carried, rec.syncs)
+	}
+
+	// Swapping one thread's two recorded lock turns makes every attempt
+	// stall, so each retry must restore the carried state.
+	swapped := false
+	for ti := range epochs[0].Threads {
+		var locks []*record.Event
+		for ei := range epochs[0].Threads[ti].Events {
+			if ev := &epochs[0].Threads[ti].Events[ei]; ev.Kind == record.KMutexLock {
+				locks = append(locks, ev)
+			}
+		}
+		if len(locks) >= 2 {
+			locks[0].Pos, locks[1].Pos = locks[1].Pos, locks[0].Pos
+			swapped = true
+			break
+		}
+	}
+	if !swapped {
+		t.Fatal("no thread locked twice")
+	}
+	const maxReplays = 3
+	if _, rrt, err := replay(epochs, maxReplays); err == nil || rrt.StatsSnapshot().Replays != maxReplays {
+		t.Fatalf("err = %v after %d attempts, want the search exhausted after %d", err, rrt.StatsSnapshot().Replays, maxReplays)
 	}
 }

@@ -215,7 +215,8 @@ func (rt *Runtime) RunReplay() (*Report, error) {
 		rt.shutdown()
 		return nil, err
 	}
-	// Observers attached after PrepareReplayFlatAt are in by now.
+	// The range's start is the observers' rollback target, captured once
+	// observers attached after PrepareReplayFlatAt are in.
 	rt.captureObserverState()
 	if err := rt.rollbackAndReplay(); err != nil {
 		return fail(err)
