@@ -387,25 +387,9 @@ func TestStateObserverRestoredAtOfflineRollback(t *testing.T) {
 		t.Fatalf("observer ended at %d, want %d carried + %d replayed", o.syncs, carried, rec.syncs)
 	}
 
-	// Swapping one thread's two recorded lock turns makes every attempt
-	// stall, so each retry must restore the carried state.
-	swapped := false
-	for ti := range epochs[0].Threads {
-		var locks []*record.Event
-		for ei := range epochs[0].Threads[ti].Events {
-			if ev := &epochs[0].Threads[ti].Events[ei]; ev.Kind == record.KMutexLock {
-				locks = append(locks, ev)
-			}
-		}
-		if len(locks) >= 2 {
-			locks[0].Pos, locks[1].Pos = locks[1].Pos, locks[0].Pos
-			swapped = true
-			break
-		}
-	}
-	if !swapped {
-		t.Fatal("no thread locked twice")
-	}
+	// A trace that stalls every attempt: each retry must restore the
+	// carried state.
+	swapLockTurns(t, epochs[0])
 	const maxReplays = 3
 	if _, rrt, err := replay(epochs, maxReplays); err == nil || rrt.StatsSnapshot().Replays != maxReplays {
 		t.Fatalf("err = %v after %d attempts, want the search exhausted after %d", err, rrt.StatsSnapshot().Replays, maxReplays)

@@ -578,6 +578,27 @@ func TestRollbackRestoresExitValue(t *testing.T) {
 	}
 }
 
+// swapLockTurns swaps the recorded turns of the first two mutex
+// acquisitions of the first thread in ep that locked twice, so a replay of
+// ep stalls on every attempt. It returns that thread's id.
+func swapLockTurns(t *testing.T, ep *record.EpochLog) int32 {
+	t.Helper()
+	for ti := range ep.Threads {
+		var locks []*record.Event
+		for ei := range ep.Threads[ti].Events {
+			if ev := &ep.Threads[ti].Events[ei]; ev.Kind == record.KMutexLock {
+				locks = append(locks, ev)
+			}
+		}
+		if len(locks) >= 2 {
+			locks[0].Pos, locks[1].Pos = locks[1].Pos, locks[0].Pos
+			return ep.Threads[ti].TID
+		}
+	}
+	t.Fatal("no thread locked twice")
+	return -1
+}
+
 // TestStallVerdictIsDeterministic: a trace whose order cannot be scheduled —
 // one thread's two acquisitions of a mutex recorded in swapped turns — stalls
 // every attempt. With counted quiescence the verdict needs no grace period:
@@ -597,23 +618,7 @@ func TestStallVerdictIsDeterministic(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var swapped int32 = -1
-	for ti := range epochs[0].Threads {
-		var locks []*record.Event
-		for ei := range epochs[0].Threads[ti].Events {
-			if ev := &epochs[0].Threads[ti].Events[ei]; ev.Kind == record.KMutexLock {
-				locks = append(locks, ev)
-			}
-		}
-		if len(locks) >= 2 {
-			locks[0].Pos, locks[1].Pos = locks[1].Pos, locks[0].Pos
-			swapped = epochs[0].Threads[ti].TID
-			break
-		}
-	}
-	if swapped < 0 {
-		t.Fatal("no thread locked twice")
-	}
+	swapped := swapLockTurns(t, epochs[0])
 	rp, err := prepareReplay(mod, epochs, Options{MaxReplays: maxReplays, DelayOnDivergence: true})
 	if err != nil {
 		t.Fatal(err)
